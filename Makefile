@@ -3,12 +3,21 @@
 
 GO ?= go
 
-.PHONY: all build test race race-par race-server race-rotation vet lint lint-self fmt-check bench bench-smoke fuzz-smoke ci baseline profile clean
+.PHONY: all build bench-build test race race-par race-server race-rotation vet lint lint-self fmt-check bench bench-smoke fuzz-smoke ci baseline profile clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# bench-build vets and compiles loadbench/, the decrypt-service
+# benchmark. It is a module of its own (it replaces repro with ../), so
+# `go build ./...` at the root never sees it, and a root change that
+# breaks it would otherwise pass CI and fail only when the benchmark
+# runs. GOFLAGS is cleared and GOPROXY disabled, as loadbench/run.sh
+# does, so the build uses only this checkout.
+bench-build:
+	cd loadbench && GOFLAGS= GOPROXY=off $(GO) vet ./... && GOFLAGS= GOPROXY=off $(GO) build -o /dev/null .
 
 test:
 	$(GO) test ./...
@@ -17,11 +26,11 @@ race:
 	$(GO) test -race ./...
 
 # race-par is the focused race pass over the packages that fan work
-# out across goroutines (chunk-parallel primitives, the table cache,
-# the batched-decryption pipeline). A subset of `race` — useful while
+# out across goroutines (chunk-parallel primitives, the
+# batched-decryption pipeline). A subset of `race` — useful while
 # iterating on parallel code without paying for the full suite.
 race-par:
-	$(GO) test -race -count=1 ./internal/par ./internal/ff ./internal/bn254 ./internal/cache ./internal/dlr
+	$(GO) test -race -count=1 ./internal/par ./internal/ff ./internal/bn254 ./internal/dlr
 
 # race-server is the focused race pass over the serving stack: the
 # batch-window server, the mux framing under it, the striped tenant
@@ -30,13 +39,12 @@ race-par:
 race-server:
 	$(GO) test -race -count=1 ./internal/server ./internal/wire ./internal/storage ./internal/dlr
 
-# race-rotation is the cached-path rotation race gate: the rotation
-# storm and scheduler tests, the cold/pipelined epoch-invalidation
-# tests, and the cache-warm batch tests, all with the epoch-keyed table
-# cache attached (race-server's broader sweep spends most of its time
-# on uncached protocol tests). Run while iterating on rotation code.
+# race-rotation is the rotation race gate: the rotation storm and
+# scheduler tests and the cold/pipelined epoch-invalidation tests
+# (race-server's broader sweep spends most of its time on protocol
+# tests). Run while iterating on rotation code.
 race-rotation:
-	$(GO) test -race -count=1 -run 'TestRotation|TestServerRefresh|TestBatchCache' ./internal/server ./internal/dlr
+	$(GO) test -race -count=1 -run 'TestRotation|TestServerRefresh' ./internal/server ./internal/dlr
 
 vet:
 	$(GO) vet ./...
@@ -61,18 +69,19 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# ci is the tier-1 gate: build, vet, dlrlint (module then self-lint),
-# gofmt cleanliness, the full test suite under the race detector (the
-# protocol stack fans work out across goroutines), an uncached race
-# pass over the serving stack (race-server), the cached-path rotation
-# race gate (race-rotation), and a short differential fuzz pass over
-# the lazy-tower and Pippenger twins. Lint runs before the race passes
+# ci is the tier-1 gate: build, the loadbench compile check
+# (bench-build), vet, dlrlint (module then self-lint), gofmt
+# cleanliness, the full test suite under the race detector (the
+# protocol stack fans work out across goroutines), a race pass over the
+# serving stack (race-server), the rotation race gate (race-rotation),
+# and a short differential fuzz pass over the lazy-tower and Pippenger
+# twins. Lint runs before the race passes
 # on purpose: static findings fail in seconds, the race suite takes
 # minutes — fail fast on the cheap gate. Timing-sensitive bench
 # regression checks are opt-in: CI_BENCH=1 make ci additionally fails
 # if any hot operation regressed >25% against the committed
 # bench_baseline.json.
-ci: build vet lint lint-self fmt-check race race-server race-rotation fuzz-smoke
+ci: build bench-build vet lint lint-self fmt-check race race-server race-rotation fuzz-smoke
 ifeq ($(CI_BENCH),1)
 	$(MAKE) bench-smoke
 endif

@@ -8,10 +8,10 @@
 //	dlrbench -smoke bench_baseline.json     # fail if a hot op regressed >25%
 //	dlrbench -pipeline -workers 1,2,4 -reqs 128 -batch 16
 //	                                    # batched-decryption worker curve
-//	dlrbench -pipeline -workers 2 -tenants 3 -cache 4
-//	                                    # multi-tenant curve with a shared
-//	                                    # rotation-aware table cache (hit
-//	                                    # rates reported per point)
+//	dlrbench -pipeline -workers 2 -tenants 3
+//	                                    # multi-tenant curve: the request
+//	                                    # stream round-robins over 3
+//	                                    # independent DLR instances
 //	dlrbench -server -clients 1,8,32 -perclient 2
 //	                                    # continuous-batching server curve:
 //	                                    # N concurrent single-request TCP
@@ -21,13 +21,6 @@
 //	                                    # RefreshEvery scheduler rotates on
 //	                                    # each cadence while closed-loop
 //	                                    # clients decrypt, cold vs pipelined
-//
-// -cache N attaches an N-entry internal/cache LRU of batch pairing
-// tables to every tenant's P1; 0 (the default) runs uncached. -tenants
-// round-robins the request stream over that many independent DLR
-// instances, which is what makes capacity pressure visible: size the
-// cache below the tenant count and the hit rate collapses (see
-// docs/PERFORMANCE.md for sizing guidance).
 //
 // -cpuprofile and -memprofile write pprof profiles of whichever mode
 // runs, for digging into the hot loops the E13/E15 numbers summarize.
@@ -77,7 +70,6 @@ func main() {
 		reqs       = flag.Int("reqs", 128, "total decryption requests per -pipeline point")
 		batchSize  = flag.Int("batch", 16, "requests per RunDecBatch call in -pipeline")
 		tenants    = flag.Int("tenants", 1, "independent DLR instances the -pipeline request stream round-robins over")
-		cacheCap   = flag.Int("cache", 0, "capacity of the shared rotation-aware table cache for -pipeline; 0 = uncached")
 		srv        = flag.Bool("server", false, "drive the batch-window decrypt server with concurrent single-request TCP clients, serial vs windows")
 		rotate     = flag.Bool("rotate", false, "drive the server under sustained load while the rotation scheduler refreshes on each -cadences entry, cold vs pipelined")
 		cadences   = flag.String("cadences", "100ms,30ms", "comma-separated rotation cadences for -rotate")
@@ -113,21 +105,21 @@ func main() {
 		}()
 	}
 
-	if err := run(*exp, *games, *baseline, *smoke, *pipeline, *workers, *reqs, *batchSize, *tenants, *cacheCap, *srv, *rotate, *cadences, *clients, *perClient); err != nil {
+	if err := run(*exp, *games, *baseline, *smoke, *pipeline, *workers, *reqs, *batchSize, *tenants, *srv, *rotate, *cadences, *clients, *perClient); err != nil {
 		// log.Fatal would skip the profile-writing defers above.
 		log.Print(err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, games int, baseline, smoke string, pipeline bool, workers string, reqs, batchSize, tenants, cacheCap int, srv, rotate bool, cadences, clients string, perClient int) error {
+func run(exp string, games int, baseline, smoke string, pipeline bool, workers string, reqs, batchSize, tenants int, srv, rotate bool, cadences, clients string, perClient int) error {
 	switch {
 	case baseline != "":
 		return writeBaseline(baseline)
 	case smoke != "":
 		return runSmoke(smoke)
 	case pipeline:
-		return runPipeline(workers, reqs, batchSize, tenants, cacheCap)
+		return runPipeline(workers, reqs, batchSize, tenants)
 	case srv:
 		return runServer(clients, perClient)
 	case rotate:
@@ -147,12 +139,10 @@ func run(exp string, games int, baseline, smoke string, pipeline bool, workers s
 }
 
 // runPipeline sweeps the batched decryption pipeline across the
-// requested worker counts and prints the req/s-vs-workers curve. With
-// -cache > 0 a shared table cache is attached and the per-point hit
-// rate is appended to each row.
-func runPipeline(workers string, reqs, batchSize, tenants, cacheCap int) error {
-	fmt.Printf("batched decryption pipeline: %d requests per point, batch=%d, tenants=%d, cache=%d, GOMAXPROCS=%d\n",
-		reqs, batchSize, tenants, cacheCap, runtime.GOMAXPROCS(0))
+// requested worker counts and prints the req/s-vs-workers curve.
+func runPipeline(workers string, reqs, batchSize, tenants int) error {
+	fmt.Printf("batched decryption pipeline: %d requests per point, batch=%d, tenants=%d, GOMAXPROCS=%d\n",
+		reqs, batchSize, tenants, runtime.GOMAXPROCS(0))
 	fmt.Printf("%-8s  %10s  %12s  %12s  %12s  %10s  %6s  %10s\n",
 		"workers", "req/s", "p50", "p99", "allocs/req", "KB/req", "GC", "pause")
 	var base float64
@@ -162,8 +152,7 @@ func runPipeline(workers string, reqs, batchSize, tenants, cacheCap int) error {
 			return fmt.Errorf("pipeline: bad -workers entry %q: %w", field, err)
 		}
 		pt, err := bench.DecPipelineCfg(bench.PipelineConfig{
-			Workers: w, Requests: reqs, Batch: batchSize,
-			Tenants: tenants, CacheCap: cacheCap,
+			Workers: w, Requests: reqs, Batch: batchSize, Tenants: tenants,
 		})
 		if err != nil {
 			return err
@@ -174,13 +163,9 @@ func runPipeline(workers string, reqs, batchSize, tenants, cacheCap int) error {
 		} else {
 			scale = fmt.Sprintf("  (%.2fx vs 1 worker)", pt.ReqPerSec/base)
 		}
-		cacheCol := ""
-		if cacheCap > 0 {
-			cacheCol = fmt.Sprintf("  cache %3.0f%% hit (%d evictions)", 100*pt.CacheHitRate, pt.CacheEvictions)
-		}
-		fmt.Printf("%-8d  %10.1f  %12s  %12s  %12.0f  %10.1f  %6d  %10s%s%s\n",
+		fmt.Printf("%-8d  %10.1f  %12s  %12s  %12.0f  %10.1f  %6d  %10s%s\n",
 			pt.Workers, pt.ReqPerSec, pt.P50.Round(time.Microsecond), pt.P99.Round(time.Microsecond),
-			pt.AllocsPerReq, pt.BytesPerReq/1024, pt.GCCycles, pt.GCPause.Round(time.Microsecond), scale, cacheCol)
+			pt.AllocsPerReq, pt.BytesPerReq/1024, pt.GCCycles, pt.GCPause.Round(time.Microsecond), scale)
 	}
 	return nil
 }
@@ -263,20 +248,21 @@ func runRotate(cadences, clients string, perClient int) error {
 }
 
 // allMeasurements gathers every fast-path timing pair: the E11 set
-// (wNAF vs reference ladder, multi-pairing, transport), the E12 set
-// (GLV/GLS vs wNAF, pairing tables vs cold Miller loops), the E13
-// set (Pippenger vs Straus, lazy tower vs reducing twins, batched vs
-// per-request decryption), the E15 set (chunk-parallel primitives
-// vs their serial paths, cached vs cold batch tables) and the E16
-// server row (serial vs batch-window amortized per-request cost at 32
-// concurrent clients) and the E17 rotation rows (cold vs prewarmed
-// first-post-rotation batch, full cold rotation vs commit-only stall).
+// (GLV/GLS vs reference ladder, multi-pairing, transport), the E12 set
+// (pairing tables vs cold Miller loops), the E13 set (Pippenger vs
+// Straus, lazy tower vs reducing twins, batched vs per-request
+// decryption), the E15 set (chunk-parallel primitives vs their serial
+// paths), the E16 server row (serial vs batch-window amortized
+// per-request cost at 32 concurrent clients), the E17 rotation rows
+// (cold vs prewarmed first-post-rotation batch, full cold rotation vs
+// commit-only stall) and the E18 wire rows (pooled framing, compressed
+// list encoding).
 func allMeasurements() ([]bench.FastPathMeasurement, error) {
 	meas, err := bench.FastPathMeasurements()
 	if err != nil {
 		return nil, err
 	}
-	endo, err := bench.EndoMeasurements()
+	tabs, err := bench.E12Measurements()
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +286,7 @@ func allMeasurements() ([]bench.FastPathMeasurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := append(append(append(meas, endo...), thr...), par...)
+	out := append(append(append(meas, tabs...), thr...), par...)
 	return append(append(append(out, srv...), rot...), wirefl...), nil
 }
 

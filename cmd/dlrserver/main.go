@@ -55,9 +55,8 @@ func main() {
 		listen     = flag.String("listen", "127.0.0.1:7800", "listen address for client sessions")
 		tenantName = flag.String("tenant", "default", "tenant name this share state serves")
 		batch      = flag.Int("batch", 32, "requests per batch window")
-		window     = flag.Duration("window", 2*time.Millisecond, "max wait for a window to fill")
+		window     = flag.Duration("window", 2*time.Millisecond, "max wait for a window to fill (0 = the 2ms default; negative = drain eagerly, no waiting)")
 		queue      = flag.Int("queue", 0, "request queue depth before busy rejections (0 = 4×batch)")
-		cacheCap   = flag.Int("cache", 8, "rotation-aware pairing-table cache capacity (0 = uncached)")
 		serial     = flag.Bool("serial", false, "serve one request per round trip (no windows) — the E16 baseline")
 		refresh    = flag.Duration("refresh-every", 0, "rotate every tenant's shares on this cadence (0 = only on client request)")
 		coldRef    = flag.Bool("cold-refresh", false, "use the serialized (non-pipelined) rotation path — the E17 baseline")
@@ -72,7 +71,6 @@ func main() {
 		BatchSize:    *batch,
 		Window:       *window,
 		QueueDepth:   *queue,
-		CacheCap:     *cacheCap,
 		Serial:       *serial,
 		RefreshEvery: *refresh,
 		ColdRefresh:  *coldRef,

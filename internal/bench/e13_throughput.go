@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/bn254"
-	"repro/internal/cache"
 	"repro/internal/device"
 	"repro/internal/dlr"
 	"repro/internal/ff"
@@ -194,12 +193,6 @@ type PipelinePoint struct {
 	// triggered and their cumulative stop-the-world pause.
 	GCCycles int
 	GCPause  time.Duration
-	// Cache effectiveness over the serving phase (zero value when the
-	// pipeline ran uncached).
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheEvictions uint64
-	CacheHitRate   float64
 }
 
 // PipelineConfig shapes one DecPipelineCfg run.
@@ -215,15 +208,11 @@ type PipelineConfig struct {
 	// Tenants is how many independent DLR instances (key shares) the
 	// request stream round-robins over; 0 means 1.
 	Tenants int
-	// CacheCap, when positive, attaches a shared cache.New(CacheCap)
-	// table cache to every tenant's P1 — the E15 hit-rate runs sweep
-	// this against Tenants to show the capacity cliff.
-	CacheCap int
 }
 
 // DecPipeline drives the batched decryption pipeline at the given
-// concurrency for a single uncached tenant — the E13/E14 shape. See
-// DecPipelineCfg for the multi-tenant, cache-attached variant.
+// concurrency for a single tenant — the E13/E14 shape. See
+// DecPipelineCfg for the multi-tenant variant.
 func DecPipeline(workers, totalReqs, batch int) (*PipelinePoint, error) {
 	return DecPipelineCfg(PipelineConfig{Workers: workers, Requests: totalReqs, Batch: batch})
 }
@@ -246,11 +235,6 @@ func DecPipelineCfg(cfg PipelineConfig) (*PipelinePoint, error) {
 		return nil, fmt.Errorf("bench: bad pipeline shape workers=%d reqs=%d batch=%d tenants=%d",
 			workers, totalReqs, batch, tenants)
 	}
-	var tabCache *cache.Cache
-	if cfg.CacheCap > 0 {
-		tabCache = cache.New(cfg.CacheCap)
-	}
-
 	type tenantState struct {
 		p1   *dlr.P1
 		p2   *dlr.P2
@@ -263,9 +247,6 @@ func DecPipelineCfg(cfg PipelineConfig) (*PipelinePoint, error) {
 		pk, p1, p2, err := dlr.Gen(rand.Reader, e13Params())
 		if err != nil {
 			return nil, err
-		}
-		if tabCache != nil {
-			p1.AttachCache(tabCache, fmt.Sprintf("tenant-%d", ti))
 		}
 		n := perTenant
 		if ti < totalReqs%tenants {
@@ -284,9 +265,8 @@ func DecPipelineCfg(cfg PipelineConfig) (*PipelinePoint, error) {
 		sts[ti] = st
 	}
 
-	// Interleave the tenants' batches so a small cache sees the worst
-	// case (every consecutive batch a different tenant) rather than
-	// tenant-sorted runs.
+	// Interleave the tenants' batches (every consecutive batch a
+	// different tenant) rather than running tenant-sorted.
 	type job struct{ tenant, lo, hi int }
 	var jobList []job
 	for lo := 0; ; lo += batch {
@@ -396,11 +376,6 @@ func DecPipelineCfg(cfg PipelineConfig) (*PipelinePoint, error) {
 		BytesPerReq:  float64(memAfter.TotalAlloc-memBefore.TotalAlloc) / float64(totalReqs),
 		GCCycles:     int(memAfter.NumGC - memBefore.NumGC),
 		GCPause:      time.Duration(memAfter.PauseTotalNs - memBefore.PauseTotalNs),
-	}
-	if tabCache != nil {
-		s := tabCache.Stats()
-		pt.CacheHits, pt.CacheMisses, pt.CacheEvictions = s.Hits, s.Misses, s.Evictions
-		pt.CacheHitRate = s.HitRate()
 	}
 	return pt, nil
 }

@@ -147,16 +147,16 @@ func serverRun(cfg server.Config, clients, perClient int) (*ServerPoint, error) 
 }
 
 // e16WindowCfg is the batch-window configuration E16 measures: windows
-// close at 32 requests or after e16WindowWait, with a table cache so
-// consecutive windows of one epoch share pairing tables.
+// close at 32 requests or after e16WindowWait; consecutive windows of
+// one epoch replay the tenant's batch session.
 func e16WindowCfg() server.Config {
-	return server.Config{BatchSize: 32, Window: e16WindowWait, CacheCap: 4}
+	return server.Config{BatchSize: 32, Window: e16WindowWait}
 }
 
 // E16SerialBaseline measures the one-request-per-round-trip server path
 // at the given concurrency. Exported for the dlrbench -server sweep.
 func E16SerialBaseline(clients, perClient int) (*ServerPoint, error) {
-	return serverRun(server.Config{Serial: true, CacheCap: 4}, clients, perClient)
+	return serverRun(server.Config{Serial: true}, clients, perClient)
 }
 
 // E16WindowRun measures the batch-window server path at the given
@@ -237,7 +237,7 @@ func E16Server() (*Table, error) {
 	t.Notes = append(t.Notes,
 		"criterion: ≥10× amortized per-request improvement at 32 concurrent clients",
 		"clients are closed-loop over real TCP sessions; window occupancy is earned by concurrency, not pre-batched callers",
-		fmt.Sprintf("window scheduler: batch=32, deadline=%s, epoch-keyed table cache attached", e16WindowWait),
+		fmt.Sprintf("window scheduler: batch=32, deadline=%s; windows of one epoch replay the batch session", e16WindowWait),
 	)
 	return t, nil
 }

@@ -185,7 +185,6 @@ func E17ServerRun(cadence time.Duration, cold bool, clients, perClient int) (*Ro
 	s := server.New(server.Config{
 		BatchSize:    8,
 		Window:       2 * time.Millisecond,
-		CacheCap:     4,
 		RefreshEvery: cadence,
 		ColdRefresh:  cold,
 	})

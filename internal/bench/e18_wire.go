@@ -22,13 +22,15 @@ import (
 // 65/128 = 49.2% per element), pooled frame encode runs at 0 allocs/op
 // (gated exactly in internal/wire/alloc_test.go), and the 32-client
 // loopback sweep holds its E16 throughput while moving roughly half
-// the bytes.
+// the bytes. The device frames have one layout now, so their raw-point
+// sizes are the recorded history in EXPERIMENTS.md; the client
+// ciphertext still has both encodings and is measured live.
 
-// e18FrameSizes runs the device protocols once per codec through a
-// transcript recorder and returns the honest on-wire frame sizes.
+// e18FrameSizes is one frame's honest on-wire size, with its raw-point
+// size where that encoding still exists (0 otherwise).
 type e18FrameSizes struct {
-	op                 string
-	legacy, compressed int
+	op              string
+	raw, compressed int
 }
 
 // e18RecordBatch runs one cold RunDecBatch through a recorder and
@@ -87,45 +89,27 @@ func e18RecordRefresh(p1 *dlr.P1, p2 *dlr.P2) (req int, err error) {
 	return sent[0].Size(), nil
 }
 
-// e18Frames measures every protocol frame in both codecs on one DLR
-// instance. The legacy pass pins the v1 codec via SetLegacyWire — the
-// same negotiation escape hatch a downgraded peer would exercise.
+// e18Frames measures every protocol frame on one DLR instance: a cold
+// decrypt-batch round trip (dlr.decb1 / dlr.decb2), a refresh
+// (dlr.ref1, 2ℓ+1 G2 ciphertexts) and a client decrypt request.
 func e18Frames() ([]e18FrameSizes, error) {
 	pk, p1, p2, err := dlr.Gen(rand.Reader, e13Params())
 	if err != nil {
 		return nil, err
 	}
-
-	var out []e18FrameSizes
-
-	// Each pass runs a cold decrypt-batch round trip (dlr.decb1 /
-	// dlr.decb2) and then a refresh (dlr.ref1, 2ℓ+1 G2 ciphertexts). The
-	// refresh rotates the share state, which drops the warm batch
-	// session — so the next pass's batch pays its round trip again and
-	// both codecs are measured on identical cold protocol runs.
-	p1.SetLegacyWire(true)
-	legReq, legRep, err := e18RecordBatch(p1, p2, pk)
+	req, rep, err := e18RecordBatch(p1, p2, pk)
 	if err != nil {
 		return nil, err
 	}
-	legRef, err := e18RecordRefresh(p1, p2)
+	ref, err := e18RecordRefresh(p1, p2)
 	if err != nil {
 		return nil, err
 	}
-	p1.SetLegacyWire(false)
-	cmpReq, cmpRep, err := e18RecordBatch(p1, p2, pk)
-	if err != nil {
-		return nil, err
+	out := []e18FrameSizes{
+		{"device decrypt-batch request (dlr.decb1)", 0, req},
+		{"device decrypt-batch reply (dlr.decb2)", 0, rep},
+		{"device refresh request (dlr.ref1)", 0, ref},
 	}
-	cmpRef, err := e18RecordRefresh(p1, p2)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out,
-		e18FrameSizes{"device decrypt-batch request (dlr.decb1)", legReq, cmpReq},
-		e18FrameSizes{"device decrypt-batch reply (dlr.decb2)", legRep, cmpRep},
-		e18FrameSizes{"device refresh request (dlr.ref1)", legRef, cmpRef},
-	)
 
 	// Client decrypt request (srv.dec): tenant prefix + ciphertext.
 	m, err := dlr.RandMessage(rand.Reader, pk)
@@ -136,12 +120,12 @@ func e18Frames() ([]e18FrameSizes, error) {
 	if err != nil {
 		return nil, err
 	}
-	var legB, cmpB wire.Builder
-	legB.AppendBytes([]byte("tenant")).AppendRaw(ct.Bytes())
+	var rawB, cmpB wire.Builder
+	rawB.AppendBytes([]byte("tenant")).AppendRaw(ct.Bytes())
 	cmpB.AppendBytes([]byte("tenant")).AppendRaw(ct.BytesCompressed())
 	out = append(out, e18FrameSizes{
 		"client decrypt request (srv.dec)",
-		wire.MuxMsg{Kind: "srv.dec", Payload: legB.Bytes()}.Size(),
+		wire.MuxMsg{Kind: "srv.dec", Payload: rawB.Bytes()}.Size(),
 		wire.MuxMsg{Kind: "srv.dec", Payload: cmpB.Bytes()}.Size(),
 	})
 	return out, nil
@@ -204,11 +188,20 @@ func e18Ops() ([]fpOp, error) {
 			},
 		},
 		{
+			// The ref side writes the same list as count ‖ raw points
+			// through Scheme.Bytes — the layout G1/G2 lists had before
+			// point compression.
 			name:  "hpske G2 list encode (raw → compressed points)",
 			iters: 2000,
 			ref: func() {
-				if _, err := hpske.EncodeListLegacy(ss, cts); err != nil {
-					panic(err)
+				var b wire.Builder
+				b.AppendUint32(uint32(len(cts)))
+				for _, ct := range cts {
+					raw, err := ss.Bytes(ct)
+					if err != nil {
+						panic(err)
+					}
+					b.AppendRaw(raw)
 				}
 			},
 			fast: func() {
@@ -236,24 +229,19 @@ func E18Wire() (*Table, error) {
 	t := &Table{
 		ID:     "E18",
 		Title:  "wire fast lane: compressed encodings, pooled framing, vectored window flush",
-		Header: []string{"frame / run", "legacy", "compressed", "reduction"},
+		Header: []string{"frame / run", "raw points", "compressed", "reduction"},
 	}
 	frames, err := e18Frames()
 	if err != nil {
 		return nil, err
 	}
-	var decReduction float64
 	for _, f := range frames {
-		red := 1 - float64(f.compressed)/float64(f.legacy)
-		if f.op == "device decrypt-batch request (dlr.decb1)" {
-			decReduction = red
+		raw, red := "—", "—"
+		if f.raw > 0 {
+			raw = fmt.Sprintf("%d B", f.raw)
+			red = fmt.Sprintf("%.1f%%", 100*(1-float64(f.compressed)/float64(f.raw)))
 		}
-		t.Rows = append(t.Rows, []string{
-			f.op,
-			fmt.Sprintf("%d B", f.legacy),
-			fmt.Sprintf("%d B", f.compressed),
-			fmt.Sprintf("%.1f%%", 100*red),
-		})
+		t.Rows = append(t.Rows, []string{f.op, raw, fmt.Sprintf("%d B", f.compressed), red})
 	}
 
 	window, err := E16WindowRun(32, 2)
@@ -270,8 +258,8 @@ func E18Wire() (*Table, error) {
 	})
 
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("criterion: device decrypt-request frame shrinks ≥45%% — measured %.1f%%", 100*decReduction),
-		"compressed G2 element: 65 B vs 128 B raw (49.2% per element); G1: 33 B vs 64 B; GT has no compression and stays legacy",
+		"criterion: device decrypt-request frame shrinks ≥45% — 49.0% when the raw-point layout existed (EXPERIMENTS.md, E18); the raw device layouts are deleted, so only the compressed sizes are live",
+		"compressed G2 element: 65 B vs 128 B raw (49.2% per element); G1: 33 B vs 64 B; GT has no compression and keeps count ‖ raw",
 		"frame encode is 0 allocs/op once the pool is warm (exact gate: internal/wire/alloc_test.go)",
 		"window responses reach each connection in one write syscall per drained window (gate: internal/server/flush_test.go)",
 	)

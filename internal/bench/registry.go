@@ -26,7 +26,7 @@ func Experiments(attackGames int) []struct {
 		{"E9", E9Storage},
 		{"E10", E10Ablations},
 		{"E11", E11FastPath},
-		{"E12", E12Endo},
+		{"E12", E12PairingTables},
 		{"E13", E13Throughput},
 		{"E14", E14Memory},
 		{"E15", E15Parallel},

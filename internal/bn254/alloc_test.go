@@ -15,10 +15,9 @@ import (
 // twins in internal/ff/alloc_test.go). Since the limb tier landed the
 // steady-state budgets are exact: scalar multiplication and GT
 // exponentiation are allocation-free, pairings allocate only the
-// returned *GT. A change that silently reroutes a hot path back
-// through big.Int (the fallback tier costs tens to thousands of
-// allocations per op) fails here immediately, rather than in the
-// opt-in bench-smoke gate. The file is excluded under the race
+// returned *GT. A change that silently reroutes a hot path through
+// big.Int (tens to thousands of allocations per op) fails here
+// immediately, rather than in the opt-in bench-smoke gate. The file is excluded under the race
 // detector, whose instrumentation inflates allocation counts.
 
 func allocTestPoints(t *testing.T) (*G1, *G2, *big.Int) {

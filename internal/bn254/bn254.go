@@ -29,8 +29,8 @@
 // differentially tested against. G1.ScalarMult decomposes the scalar
 // along the GLV endomorphism φ(x,y) = (βx, y) and G2.ScalarMult along
 // the GLS endomorphism ψ (untwist–Frobenius–twist) into half- and
-// quarter-length sub-scalars; the plain wNAF tier survives as
-// ScalarMultWNAF (see internal/scalar and endo.go). Prefer
+// quarter-length sub-scalars, in allocation-free limb arithmetic (see
+// internal/scalar, endo.go and limbmult.go). Prefer
 // ScalarBaseMult over ScalarMult(Generator(), k) — it walks a
 // precomputed fixed-base table — and prefer MultiPair/PairBatch over a
 // loop of Pair calls when several pairings are evaluated together.

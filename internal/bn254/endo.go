@@ -8,8 +8,9 @@ import (
 	"repro/internal/scalar"
 )
 
-// This file implements the curve endomorphisms and the
-// endomorphism-accelerated scalar multiplications built on them:
+// This file implements the curve endomorphisms and the lattice data
+// the endomorphism-accelerated scalar multiplications (limbmult.go)
+// decompose with:
 //
 //   - GLV on G1 (Gallant–Lambert–Vanstone 2001): E(Fp) has j-invariant
 //     0, so φ(x, y) = (β·x, y) with β a primitive cube root of unity in
@@ -24,9 +25,12 @@ import (
 //     quarters the chain.
 //
 // Every constant is derived from the BN parameter u and verified at
-// first use: β and λ by checking φ(G) = [λ]G against the plain ladder,
-// ψ and μ by checking ψ(G₂) = [μ]G₂, and the lattice bases by
-// scalar.NewLattice's relation check. A derivation that fails its check
+// first use: β and λ by checking φ(G) = [λ]G against the naive
+// reference ladder, ψ and μ by checking ψ(G₂) = [μ]G₂ the same way, and
+// the lattice bases by scalar.NewLattice's relation check. A lattice
+// whose fixed-point decomposition data does not fit the limb widths
+// (scalar.Lattice.LimbReady) is refused, since the limb ladders are the
+// only scalar-multiplication tier. A derivation that fails its check
 // panics — wrong constants must never fail silently. See
 // docs/ARCHITECTURE.md for the paper trail behind each constant.
 //
@@ -74,10 +78,8 @@ func g1EndoInit() {
 		panic("bn254: −3 is not a square mod p")
 	}
 	inv2 := new(big.Int).ModInverse(big.NewInt(2), p)
-	var want g1Jac
-	g1WNAFMult(&want, g1Gen, lambda)
 	var lG G1
-	want.toAffine(&lG)
+	lG.ScalarMultReference(g1Gen, lambda)
 	found := false
 	for _, sign := range []int64{1, -1} {
 		c := new(big.Int).Mul(s, big.NewInt(sign))
@@ -105,6 +107,9 @@ func g1EndoInit() {
 	lat, err := scalar.NewLattice(r, lambda, basis)
 	if err != nil {
 		panic("bn254: GLV lattice rejected: " + err.Error())
+	}
+	if !lat.LimbReady() {
+		panic("bn254: GLV lattice does not fit the limb decomposition")
 	}
 	g1Endo.lat = lat
 }
@@ -146,12 +151,9 @@ func g2EndoInit() {
 
 	// Verify ψ(G₂) = [μ]G₂ on the generator before trusting ψ anywhere.
 	gen := G2Generator()
-	var psiG G2
+	var psiG, muG G2
 	g2Psi(&psiG, gen)
-	var acc g2Jac
-	g2WNAFMult(&acc, gen, mu)
-	var muG G2
-	acc.toAffine(&muG)
+	muG.ScalarMultReference(gen, mu)
 	if !psiG.Equal(&muG) {
 		panic("bn254: ψ(G₂) ≠ [6u²]G₂ — untwist-Frobenius-twist coefficients wrong")
 	}
@@ -176,6 +178,9 @@ func g2EndoInit() {
 	if err != nil {
 		panic("bn254: GLS lattice rejected: " + err.Error())
 	}
+	if !lat.LimbReady() {
+		panic("bn254: GLS lattice does not fit the limb decomposition")
+	}
 	g2Endo.lat = lat
 }
 
@@ -195,72 +200,4 @@ func g2Psi(out, a *G2) {
 	out.x.Set(&x)
 	out.y.Set(&y)
 	out.inf = false
-}
-
-// endoSplitG1 decomposes e ∈ [0, r) into GLV terms: affine base points
-// (sign already folded in) and their non-negative sub-scalars.
-func endoSplitG1(a *G1, e *big.Int) ([]*G1, []*big.Int) {
-	g1Endo.once.Do(g1EndoInit)
-	subs := g1Endo.lat.Decompose(e)
-	var phiA G1
-	g1Phi(&phiA, a, &g1Endo.beta)
-	bases := []*G1{a, &phiA}
-	pts := make([]*G1, 0, 2)
-	es := make([]*big.Int, 0, 2)
-	for i, s := range subs {
-		if s.Sign() == 0 {
-			continue
-		}
-		pt := bases[i]
-		if s.Sign() < 0 {
-			pt = new(G1).Neg(pt)
-			s = new(big.Int).Neg(s)
-		}
-		pts = append(pts, pt)
-		es = append(es, s)
-	}
-	return pts, es
-}
-
-// endoSplitG2 decomposes e ∈ [0, r) into GLS terms over ψ⁰..ψ³. Only
-// valid for points of the r-subgroup (where ψ acts as [μ]).
-func endoSplitG2(a *G2, e *big.Int) ([]*G2, []*big.Int) {
-	g2Endo.once.Do(g2EndoInit)
-	subs := g2Endo.lat.Decompose(e)
-	bases := make([]*G2, len(subs))
-	bases[0] = a
-	for i := 1; i < len(bases); i++ {
-		bases[i] = new(G2)
-		g2Psi(bases[i], bases[i-1])
-	}
-	pts := make([]*G2, 0, len(subs))
-	es := make([]*big.Int, 0, len(subs))
-	for i, s := range subs {
-		if s.Sign() == 0 {
-			continue
-		}
-		pt := bases[i]
-		if s.Sign() < 0 {
-			pt = new(G2).Neg(pt)
-			s = new(big.Int).Neg(s)
-		}
-		pts = append(pts, pt)
-		es = append(es, s)
-	}
-	return pts, es
-}
-
-// g1GLVMult sets acc = [e]a for e ∈ [0, r) via the 2-dimensional GLV
-// split and one interleaved wNAF ladder over a ~√r-length chain.
-func g1GLVMult(acc *g1Jac, a *G1, e *big.Int) {
-	pts, es := endoSplitG1(a, e)
-	g1MultiWNAF(acc, pts, es)
-}
-
-// g2GLSMult sets acc = [e]a for e ∈ [0, r) and a in the r-subgroup, via
-// the 4-dimensional GLS split and one interleaved wNAF ladder over a
-// ~r^(1/4)-length chain.
-func g2GLSMult(acc *g2Jac, a *G2, e *big.Int) {
-	pts, es := endoSplitG2(a, e)
-	g2MultiWNAF(acc, pts, es)
 }

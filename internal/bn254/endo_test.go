@@ -2,13 +2,16 @@ package bn254
 
 import (
 	"math/big"
+	mrand "math/rand"
 	"testing"
 
 	"repro/internal/ff"
+	"repro/internal/scalar"
 )
 
-// endoEdgeScalars returns the boundary cases every scalar-mult tier must
-// agree on: 0, 1, r−1, r, r+1 and ±2^i across the scalar width.
+// endoEdgeScalars returns the boundary cases the endomorphism ladders
+// and the reference ladder must agree on: 0, 1, r−1, r, r+1 and ±2^i
+// across the scalar width.
 func endoEdgeScalars() []*big.Int {
 	r := ff.Order()
 	out := []*big.Int{
@@ -25,9 +28,9 @@ func endoEdgeScalars() []*big.Int {
 	return out
 }
 
-// TestG1ScalarMultGLVTiers cross-checks all three G1 tiers — GLV
-// (ScalarMult), plain wNAF (ScalarMultWNAF) and the naive ladder
-// (ScalarMultReference) — on edge scalars plus 100 random ones.
+// TestG1ScalarMultGLVTiers cross-checks the GLV ladder (ScalarMult)
+// against the naive ladder (ScalarMultReference) on edge scalars plus
+// 100 random ones.
 func TestG1ScalarMultGLVTiers(t *testing.T) {
 	a, _, err := RandG1(nil)
 	if err != nil {
@@ -38,15 +41,11 @@ func TestG1ScalarMultGLVTiers(t *testing.T) {
 		ks = append(ks, randScalarBits(t, 256))
 	}
 	for _, k := range ks {
-		var glv, wnaf, ref G1
+		var glv, ref G1
 		glv.ScalarMult(a, k)
-		wnaf.ScalarMultWNAF(a, k)
 		ref.ScalarMultReference(a, k)
 		if !glv.Equal(&ref) {
 			t.Fatalf("GLV ScalarMult != reference for k=%v", k)
-		}
-		if !wnaf.Equal(&ref) {
-			t.Fatalf("ScalarMultWNAF != reference for k=%v", k)
 		}
 		if !glv.IsOnCurve() {
 			t.Fatalf("GLV result off curve for k=%v", k)
@@ -55,8 +54,8 @@ func TestG1ScalarMultGLVTiers(t *testing.T) {
 }
 
 // TestG2ScalarMultGLSTiers is the G2 counterpart: GLS (ScalarMult) vs
-// plain wNAF vs naive ladder, on r-subgroup points (the domain the
-// mod-r tiers are specified for).
+// the naive ladder, on r-subgroup points (the domain the mod-r ladders
+// are specified for).
 func TestG2ScalarMultGLSTiers(t *testing.T) {
 	a, _, err := RandG2(nil)
 	if err != nil {
@@ -67,15 +66,11 @@ func TestG2ScalarMultGLSTiers(t *testing.T) {
 		ks = append(ks, randScalarBits(t, 256))
 	}
 	for _, k := range ks {
-		var gls, wnaf, ref G2
+		var gls, ref G2
 		gls.ScalarMult(a, k)
-		wnaf.ScalarMultWNAF(a, k)
 		ref.ScalarMultReference(a, k)
 		if !gls.Equal(&ref) {
 			t.Fatalf("GLS ScalarMult != reference for k=%v", k)
-		}
-		if !wnaf.Equal(&ref) {
-			t.Fatalf("ScalarMultWNAF != reference for k=%v", k)
 		}
 		if !gls.IsOnTwist() {
 			t.Fatalf("GLS result off twist for k=%v", k)
@@ -94,7 +89,7 @@ func TestG1PhiEigenvalue(t *testing.T) {
 		}
 		var phiP, lP G1
 		g1Phi(&phiP, p, &g1Endo.beta)
-		lP.ScalarMultWNAF(p, g1Endo.lambda)
+		lP.ScalarMultReference(p, g1Endo.lambda)
 		if !phiP.Equal(&lP) {
 			t.Fatalf("iteration %d: φ(P) != [λ]P", i)
 		}
@@ -111,7 +106,7 @@ func TestG2PsiEigenvalue(t *testing.T) {
 		}
 		var psiQ, muQ G2
 		g2Psi(&psiQ, q)
-		muQ.ScalarMultWNAF(q, g2Endo.mu)
+		muQ.ScalarMultReference(q, g2Endo.mu)
 		if !psiQ.Equal(&muQ) {
 			t.Fatalf("iteration %d: ψ(Q) != [6u²]Q", i)
 		}
@@ -178,25 +173,94 @@ func TestG2IsInSubgroupMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEndoSplitRecomposition checks the in-package split helpers
-// recompose: Σ [kᵢ]·baseᵢ = [k]a with signs folded into the points.
+// limbsBig converts a sub-scalar to a signed big.Int.
+func limbsBig(s scalar.SubScalar) *big.Int {
+	v := new(big.Int)
+	for i := 3; i >= 0; i-- {
+		v.Lsh(v, 64)
+		v.Or(v, new(big.Int).SetUint64(s.V[i]))
+	}
+	if s.Neg {
+		v.Neg(v)
+	}
+	return v
+}
+
+// TestProductionLatticesDecompose pins the invariant the single limb
+// tier rests on: both production lattices are LimbReady, and
+// DecomposeInto succeeds on every reduced scalar and recomposes it,
+// Σ kᵢ·λⁱ ≡ k (mod r), at the boundaries and on 10,000 seeded random
+// scalars per lattice.
+func TestProductionLatticesDecompose(t *testing.T) {
+	g1Endo.once.Do(g1EndoInit)
+	g2Endo.once.Do(g2EndoInit)
+	r := ff.Order()
+	ks := []*big.Int{
+		big.NewInt(0),
+		big.NewInt(1),
+		new(big.Int).Sub(r, big.NewInt(1)),
+		new(big.Int).Rsh(new(big.Int).Sub(r, big.NewInt(1)), 1),
+		new(big.Int).Lsh(big.NewInt(1), 253),
+	}
+	rng := mrand.New(mrand.NewSource(12))
+	for i := 0; i < 10000; i++ {
+		ks = append(ks, new(big.Int).Rand(rng, r))
+	}
+	for _, tc := range []struct {
+		name string
+		lat  *scalar.Lattice
+		eig  *big.Int
+		dim  int
+	}{
+		{"GLV", g1Endo.lat, g1Endo.lambda, 2},
+		{"GLS", g2Endo.lat, g2Endo.mu, 4},
+	} {
+		if !tc.lat.LimbReady() {
+			t.Fatalf("%s lattice is not LimbReady", tc.name)
+		}
+		subs := make([]scalar.SubScalar, tc.dim)
+		for _, k := range ks {
+			e := ff.ReduceScalar(k)
+			if !tc.lat.DecomposeInto(&e, subs) {
+				t.Fatalf("%s: DecomposeInto failed for k=%v", tc.name, k)
+			}
+			sum, pow := new(big.Int), big.NewInt(1)
+			for _, s := range subs {
+				sum.Add(sum, new(big.Int).Mul(limbsBig(s), pow))
+				pow.Mul(pow, tc.eig)
+			}
+			if sum.Sub(sum, k).Mod(sum, r).Sign() != 0 {
+				t.Fatalf("%s: decomposition of k=%v does not recompose", tc.name, k)
+			}
+		}
+	}
+}
+
+// TestEndoSplitRecomposition checks the split the ladders run on
+// recomposes on points: for the DecomposeInto sub-scalars,
+// Σ [kᵢ]·ψⁱ(a) = [k]a (φ for G1), evaluated with the reference ladder.
 func TestEndoSplitRecomposition(t *testing.T) {
+	g1Endo.once.Do(g1EndoInit)
+	g2Endo.once.Do(g2EndoInit)
 	for i := 0; i < 25; i++ {
 		k := new(big.Int).Mod(randScalarBits(t, 256), ff.Order())
+		e := ff.ReduceScalar(k)
 
 		a1, _, err := RandG1(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts1, es1 := endoSplitG1(a1, k)
-		want1 := new(G1).ScalarMultReference(a1, k)
-		got1 := NewG1()
-		var term1 G1
-		for j := range pts1 {
-			term1.ScalarMultReference(pts1[j], es1[j])
-			got1.Add(got1, &term1)
+		var subs1 [2]scalar.SubScalar
+		if !g1Endo.lat.DecomposeInto(&e, subs1[:]) {
+			t.Fatal("GLV DecomposeInto failed")
 		}
-		if !got1.Equal(want1) {
+		var phiA G1
+		g1Phi(&phiA, a1, &g1Endo.beta)
+		got1, term1 := NewG1(), new(G1)
+		for j, base := range []*G1{a1, &phiA} {
+			got1.Add(got1, term1.ScalarMultReference(base, limbsBig(subs1[j])))
+		}
+		if !got1.Equal(new(G1).ScalarMultReference(a1, k)) {
 			t.Fatalf("iteration %d: GLV split does not recompose", i)
 		}
 
@@ -204,15 +268,16 @@ func TestEndoSplitRecomposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts2, es2 := endoSplitG2(a2, k)
-		want2 := new(G2).ScalarMultReference(a2, k)
-		got2 := NewG2()
-		var term2 G2
-		for j := range pts2 {
-			term2.ScalarMultReference(pts2[j], es2[j])
-			got2.Add(got2, &term2)
+		var subs2 [4]scalar.SubScalar
+		if !g2Endo.lat.DecomposeInto(&e, subs2[:]) {
+			t.Fatal("GLS DecomposeInto failed")
 		}
-		if !got2.Equal(want2) {
+		got2, base, term2 := NewG2(), new(G2).Set(a2), new(G2)
+		for j := range subs2 {
+			got2.Add(got2, term2.ScalarMultReference(base, limbsBig(subs2[j])))
+			g2Psi(base, base)
+		}
+		if !got2.Equal(new(G2).ScalarMultReference(a2, k)) {
 			t.Fatalf("iteration %d: GLS split does not recompose", i)
 		}
 	}

@@ -250,10 +250,9 @@ func (j *g1Jac) addAffine(a *G1) {
 // endomorphism method: k is split as k ≡ k₀ + k₁·λ (mod r) with
 // |kᵢ| ≈ √r and [k]a = [k₀]a + [k₁]φ(a) is evaluated by one
 // interleaved wNAF ladder over a half-length doubling chain (see
-// endo.go). ScalarMultWNAF retains the plain single-ladder tier and
-// ScalarMultReference the naive loop, both for differential testing.
-// Not constant-time: the decomposition and digit patterns of k leak
-// through timing.
+// endo.go, limbmult.go). ScalarMultReference retains the naive loop for
+// differential testing. Not constant-time: the decomposition and digit
+// patterns of k leak through timing.
 //
 //dlr:noalloc
 func (z *G1) ScalarMult(a *G1, k *big.Int) *G1 {
@@ -262,26 +261,7 @@ func (z *G1) ScalarMult(a *G1, k *big.Int) *G1 {
 		return z.SetInfinity()
 	}
 	var acc g1Jac
-	if !g1GLVMultLimbs(&acc, a, &e) {
-		// Limb-unready lattice (never the production one): big.Int tier.
-		//dlrlint:ignore hot-path-alloc cold fallback for limb-unready lattices, never taken in production
-		g1GLVMult(&acc, a, new(big.Int).Mod(k, ff.Order()))
-	}
-	acc.toAffine(z)
-	return z
-}
-
-// ScalarMultWNAF is the plain width-4 wNAF ladder without the GLV
-// split — the previous fast path, retained as the middle tier for
-// differential tests and the E12 endomorphism ablation. Semantics
-// match ScalarMult: k is reduced mod r.
-func (z *G1) ScalarMultWNAF(a *G1, k *big.Int) *G1 {
-	e := ff.ReduceScalar(k)
-	if e == [4]uint64{} || a.inf {
-		return z.SetInfinity()
-	}
-	var acc g1Jac
-	g1WNAFMultLimbs(&acc, a, &e)
+	g1MultGLV(&acc, a, &e)
 	acc.toAffine(z)
 	return z
 }

@@ -312,9 +312,9 @@ func (j *g2Jac) addAffine(a *G2) {
 // it, and SetBytes validates membership). The fast path is the GLS
 // endomorphism method: k ≡ k₀ + k₁μ + k₂μ² + k₃μ³ (mod r) with
 // |kᵢ| ≈ r^(1/4) and [k]a = Σ [kᵢ]ψⁱ(a) evaluated by one interleaved
-// wNAF ladder over a quarter-length doubling chain (see endo.go).
-// ScalarMultWNAF retains the plain single-ladder tier and
-// ScalarMultReference the naive loop, both for differential testing.
+// wNAF ladder over a quarter-length doubling chain (see endo.go,
+// limbmult.go). ScalarMultReference retains the naive loop for
+// differential testing.
 // Cofactor clearing of points outside the subgroup uses the internal
 // raw-scalar path g2ScalarMultRaw instead. Not constant-time: the
 // decomposition and digit patterns of k leak through timing.
@@ -326,27 +326,7 @@ func (z *G2) ScalarMult(a *G2, k *big.Int) *G2 {
 		return z.SetInfinity()
 	}
 	var acc g2Jac
-	if !g2GLSMultLimbs(&acc, a, &e) {
-		// Limb-unready lattice (never the production one): big.Int tier.
-		//dlrlint:ignore hot-path-alloc cold fallback for limb-unready lattices, never taken in production
-		g2GLSMult(&acc, a, new(big.Int).Mod(k, ff.Order()))
-	}
-	acc.toAffine(z)
-	return z
-}
-
-// ScalarMultWNAF is the plain width-4 wNAF ladder without the GLS
-// split — the previous fast path, retained as the middle tier for
-// differential tests and the E12 endomorphism ablation. Semantics
-// match ScalarMult: k is reduced mod r, so it too assumes a lies in
-// the r-subgroup.
-func (z *G2) ScalarMultWNAF(a *G2, k *big.Int) *G2 {
-	e := ff.ReduceScalar(k)
-	if e == [4]uint64{} || a.inf {
-		return z.SetInfinity()
-	}
-	var acc g2Jac
-	g2WNAFMultLimbs(&acc, a, &e)
+	g2MultGLS(&acc, a, &e)
 	acc.toAffine(z)
 	return z
 }

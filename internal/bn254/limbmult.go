@@ -1,31 +1,29 @@
 package bn254
 
 import (
-	"math/big"
-
 	"repro/internal/ff"
 	"repro/internal/scalar"
 )
 
-// This file is the allocation-free twin of the endomorphism scalar
-// multiplications in endo.go/scalarmult.go. The big.Int pipeline
-// (Mod → Lattice.Decompose → ff.WNAF → interleaved ladder) is replaced
-// by fixed-width limb arithmetic end to end: ff.ReduceScalar reduces
-// the caller's scalar into [4]uint64, scalar.DecomposeInto splits it
-// with the fixed-point Babai lattice data, and ff.AppendWNAF recodes
-// each sub-scalar into a caller-provided stack buffer. The ladder state
-// (odd-multiple tables and digit slices) lives in g1LadderTerm /
-// g2LadderTerm values that the single-point entries keep entirely on
-// the stack, so a steady-state ScalarMult performs zero heap
-// allocations.
+// This file is the endomorphism scalar-multiplication engine, in
+// fixed-width limb arithmetic end to end: ff.ReduceScalar reduces the
+// caller's scalar into [4]uint64, scalar.DecomposeInto splits it with
+// the fixed-point Babai lattice data of endo.go, and ff.AppendWNAF
+// recodes each sub-scalar into a caller-provided stack buffer. The
+// ladder state (odd-multiple tables and digit slices) lives in
+// g1LadderTerm / g2LadderTerm values that the single-point entries keep
+// entirely on the stack, so a steady-state ScalarMult performs zero
+// heap allocations.
 //
-// Every limb routine returns bool and leaves the big.Int tier
-// (g1GLVMult, g2GLSMult, g1MultiWNAF, …) in place as its fallback and
-// differential twin: a lattice whose fixed-point data did not fit
-// (scalar.LimbReady() == false) or a sub-scalar overflowing four limbs
-// routes through the original code path and still produces the right
-// answer. The production BN254 lattices always take the limb path —
-// TestLimbMultMatchesBig pins the two tiers to identical outputs.
+// There is no second tier: g1EndoInit/g2EndoInit refuse a lattice that
+// is not LimbReady, and DecomposeInto succeeds on every reduced scalar
+// for both production lattices (TestProductionLatticesDecompose), so a
+// failed decomposition is a broken invariant and panics. The
+// differential twins are the naive *Reference ladders in g1.go/g2.go.
+
+// errDecompose is the panic value for a failed production-lattice
+// decomposition.
+const errDecompose = "bn254: endomorphism lattice failed to decompose a reduced scalar"
 
 // g1LadderTerm is one term of an interleaved wNAF ladder: the signed
 // digits of its sub-scalar and the odd multiples {1,3,5,7}·P. Values
@@ -51,8 +49,10 @@ func (t *g1LadderTerm) init(a *G1) {
 	}
 }
 
-// g1LadderRun evaluates acc = Σ termᵢ over one shared doubling chain —
-// the same walk as g1MultiWNAF, operating on prepared terms.
+// g1LadderRun evaluates acc = Σ termᵢ over one shared doubling chain
+// (Straus/wNAF interleaving): the chain is as long as the longest
+// term's digits, and each term contributes one addition per ~(w+1)
+// bits.
 func g1LadderRun(acc *g1Jac, terms []g1LadderTerm) {
 	maxLen := 0
 	for i := range terms {
@@ -122,34 +122,13 @@ func g2LadderRun(acc *g2Jac, terms []g2LadderTerm) {
 	}
 }
 
-// g1WNAFMultLimbs is the limb twin of g1WNAFMult: acc = [e]a for a
-// reduced non-zero e, one term, stack digit buffer.
-func g1WNAFMultLimbs(acc *g1Jac, a *G1, e *[4]uint64) {
-	var buf [ff.WNAFMaxDigits]int8
-	var terms [1]g1LadderTerm
-	terms[0].digits = ff.AppendWNAF(buf[:0], *e, wnafWidth)
-	terms[0].init(a)
-	g1LadderRun(acc, terms[:])
-}
-
-// g2WNAFMultLimbs is g1WNAFMultLimbs on the twist.
-func g2WNAFMultLimbs(acc *g2Jac, a *G2, e *[4]uint64) {
-	var buf [ff.WNAFMaxDigits]int8
-	var terms [1]g2LadderTerm
-	terms[0].digits = ff.AppendWNAF(buf[:0], *e, wnafWidth)
-	terms[0].init(a)
-	g2LadderRun(acc, terms[:])
-}
-
-// g1GLVMultLimbs sets acc = [e]a via the GLV split computed entirely in
-// limb arithmetic. Reports false — without touching acc — when the
-// lattice's fixed-point data cannot decompose e; the caller then falls
-// back to g1GLVMult.
-func g1GLVMultLimbs(acc *g1Jac, a *G1, e *[4]uint64) bool {
+// g1MultGLV sets acc = [e]a for a reduced non-zero e via the GLV
+// split computed entirely in limb arithmetic.
+func g1MultGLV(acc *g1Jac, a *G1, e *[4]uint64) {
 	g1Endo.once.Do(g1EndoInit)
 	var subs [2]scalar.SubScalar
 	if !g1Endo.lat.DecomposeInto(e, subs[:]) {
-		return false
+		panic(errDecompose)
 	}
 	var bases [2]G1
 	bases[0].Set(a)
@@ -169,19 +148,18 @@ func g1GLVMultLimbs(acc *g1Jac, a *G1, e *[4]uint64) bool {
 		n++
 	}
 	g1LadderRun(acc, terms[:n])
-	return true
 }
 
-// g2GLSMultLimbs is the 4-dimensional GLS analogue for r-subgroup
+// g2MultGLS is the 4-dimensional GLS analogue for r-subgroup
 // points. The ψ chain is built on the UNNEGATED bases first and signs
 // are folded in afterwards: ψ is applied to base i−1 to produce base i,
 // so negating a base before its successor exists would propagate the
 // sign into every later power of ψ.
-func g2GLSMultLimbs(acc *g2Jac, a *G2, e *[4]uint64) bool {
+func g2MultGLS(acc *g2Jac, a *G2, e *[4]uint64) {
 	g2Endo.once.Do(g2EndoInit)
 	var subs [4]scalar.SubScalar
 	if !g2Endo.lat.DecomposeInto(e, subs[:]) {
-		return false
+		panic(errDecompose)
 	}
 	var bases [4]G2
 	bases[0].Set(a)
@@ -203,18 +181,16 @@ func g2GLSMultLimbs(acc *g2Jac, a *G2, e *[4]uint64) bool {
 		n++
 	}
 	g2LadderRun(acc, terms[:n])
-	return true
 }
 
 // glvSplitLimbs decomposes one reduced scalar into GLV ladder terms,
 // appending the digit recodings to the shared flat buffer and the
 // prepared terms to terms. The caller must size the digit buffer so
 // append never reallocates (earlier terms hold slices into it).
-// Reports false when the limb decomposition is unavailable.
-func glvSplitLimbs(p *G1, e *[4]uint64, terms []g1LadderTerm, digits []int8) ([]g1LadderTerm, []int8, bool) {
+func glvSplitLimbs(p *G1, e *[4]uint64, terms []g1LadderTerm, digits []int8) ([]g1LadderTerm, []int8) {
 	var subs [2]scalar.SubScalar
 	if !g1Endo.lat.DecomposeInto(e, subs[:]) {
-		return terms, digits, false
+		panic(errDecompose)
 	}
 	var bases [2]G1
 	bases[0].Set(p)
@@ -232,14 +208,14 @@ func glvSplitLimbs(p *G1, e *[4]uint64, terms []g1LadderTerm, digits []int8) ([]
 		terms[len(terms)-1].digits = digits[start:len(digits):len(digits)]
 		terms[len(terms)-1].init(&bases[j])
 	}
-	return terms, digits, true
+	return terms, digits
 }
 
 // glsSplitLimbs is glvSplitLimbs for the 4-way GLS split on the twist.
-func glsSplitLimbs(q *G2, e *[4]uint64, terms []g2LadderTerm, digits []int8) ([]g2LadderTerm, []int8, bool) {
+func glsSplitLimbs(q *G2, e *[4]uint64, terms []g2LadderTerm, digits []int8) ([]g2LadderTerm, []int8) {
 	var subs [4]scalar.SubScalar
 	if !g2Endo.lat.DecomposeInto(e, subs[:]) {
-		return terms, digits, false
+		panic(errDecompose)
 	}
 	var bases [4]G2
 	bases[0].Set(q)
@@ -259,17 +235,5 @@ func glsSplitLimbs(q *G2, e *[4]uint64, terms []g2LadderTerm, digits []int8) ([]
 		terms[len(terms)-1].digits = digits[start:len(digits):len(digits)]
 		terms[len(terms)-1].init(&bases[j])
 	}
-	return terms, digits, true
-}
-
-// strausFallbackG1 collects the big.Int GLV split of one scalar for the
-// rare limb-unready case (shared by the Straus and Pippenger entries).
-func strausFallbackG1(p *G1, k *big.Int, pts []*G1, es []*big.Int) ([]*G1, []*big.Int) {
-	sp, se := endoSplitG1(p, new(big.Int).Mod(k, ff.Order()))
-	return append(pts, sp...), append(es, se...)
-}
-
-func strausFallbackG2(q *G2, k *big.Int, pts []*G2, es []*big.Int) ([]*G2, []*big.Int) {
-	sp, se := endoSplitG2(q, new(big.Int).Mod(k, ff.Order()))
-	return append(pts, sp...), append(es, se...)
+	return terms, digits
 }

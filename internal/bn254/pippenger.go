@@ -74,7 +74,7 @@ func pippengerWindow(n int) int {
 const pippengerCrossover = 16
 
 // scalarLimbs returns the low 256 bits of the non-negative e as
-// little-endian limbs (sub-scalars from endoSplit are far shorter).
+// little-endian limbs (GLV/GLS sub-scalars are far shorter).
 func scalarLimbs(e *big.Int) [4]uint64 {
 	var l [4]uint64
 	for i, w := range e.Bits() {
@@ -288,70 +288,6 @@ func g1BucketAccumulate(buckets []G1, points []G1, ops []bucketOp, scratch *buck
 	scratch.next, scratch.dens, scratch.apply, scratch.kinds = next, dens, apply, kinds
 }
 
-// g1MultiExpPippengerBig runs the bucket method over sign-folded affine
-// points and non-negative big.Int sub-scalars (the endoSplitG1 output
-// shape) — the retained fallback tier for limb-unready lattices and the
-// differential twin of g1MultiExpPippengerLimbs.
-func g1MultiExpPippengerBig(acc *g1Jac, pts []*G1, es []*big.Int) {
-	acc.setInfinity()
-	if len(pts) == 0 {
-		return
-	}
-	maxBits := 1
-	for _, e := range es {
-		if b := e.BitLen(); b > maxBits {
-			maxBits = b
-		}
-	}
-	c := pippengerWindow(len(pts))
-	windows := maxBits/c + 2
-	digits := pippengerDigits(es, c, windows)
-
-	// Flat pointer-free point array: originals below n, negations above.
-	n := len(pts)
-	points := make([]G1, 2*n)
-	for i, p := range pts {
-		points[i].Set(p)
-		points[n+i].Neg(p)
-	}
-	nb := 1 << (c - 1)
-	buckets := make([]G1, windows*nb)
-	for i := range buckets {
-		buckets[i].SetInfinity()
-	}
-	scratch := &bucketScratch{stamp: make([]int32, len(buckets))}
-	ops := make([]bucketOp, 0, n*windows)
-	for i := 0; i < n; i++ {
-		for w := 0; w < windows; w++ {
-			d := digits[i*windows+w]
-			switch {
-			case d > 0:
-				ops = append(ops, bucketOp{bucket: int32(w*nb) + d - 1, pt: int32(i)})
-			case d < 0:
-				ops = append(ops, bucketOp{bucket: int32(w*nb) - d - 1, pt: int32(n + i)})
-			}
-		}
-	}
-	g1BucketAccumulate(buckets, points, ops, scratch)
-
-	// Fold each window (Σ (b+1)·bucket[b] via running suffix sums) and
-	// combine top-down with c doublings between windows.
-	for w := windows - 1; w >= 0; w-- {
-		for i := 0; i < c; i++ {
-			acc.double()
-		}
-		var running, sum g1Jac
-		running.setInfinity()
-		sum.setInfinity()
-		win := buckets[w*nb : (w+1)*nb]
-		for b := nb - 1; b >= 0; b-- {
-			running.addAffine(&win[b])
-			sum.add(&running)
-		}
-		acc.add(&sum)
-	}
-}
-
 // --- the twist, with ff.Fp2 coordinates ---
 
 // g2BucketAccumulate is g1BucketAccumulate on the twist
@@ -422,65 +358,6 @@ func g2BucketAccumulate(buckets []G2, points []G2, ops []bucketOp, scratch *buck
 		cur, next = next, cur
 	}
 	scratch.next, scratch.dens2, scratch.apply, scratch.kinds = next, dens2, apply, kinds
-}
-
-// g2MultiExpPippengerBig is g1MultiExpPippengerBig on the twist, with
-// the same globally scheduled bucket accumulation.
-func g2MultiExpPippengerBig(acc *g2Jac, pts []*G2, es []*big.Int) {
-	acc.setInfinity()
-	if len(pts) == 0 {
-		return
-	}
-	maxBits := 1
-	for _, e := range es {
-		if b := e.BitLen(); b > maxBits {
-			maxBits = b
-		}
-	}
-	c := pippengerWindow(len(pts))
-	windows := maxBits/c + 2
-	digits := pippengerDigits(es, c, windows)
-
-	n := len(pts)
-	points := make([]G2, 2*n)
-	for i, p := range pts {
-		points[i].Set(p)
-		points[n+i].Neg(p)
-	}
-	nb := 1 << (c - 1)
-	buckets := make([]G2, windows*nb)
-	for i := range buckets {
-		buckets[i].SetInfinity()
-	}
-	scratch := &bucketScratch{stamp: make([]int32, len(buckets))}
-	ops := make([]bucketOp, 0, n*windows)
-	for i := 0; i < n; i++ {
-		for w := 0; w < windows; w++ {
-			d := digits[i*windows+w]
-			switch {
-			case d > 0:
-				ops = append(ops, bucketOp{bucket: int32(w*nb) + d - 1, pt: int32(i)})
-			case d < 0:
-				ops = append(ops, bucketOp{bucket: int32(w*nb) - d - 1, pt: int32(n + i)})
-			}
-		}
-	}
-	g2BucketAccumulate(buckets, points, ops, scratch)
-
-	for w := windows - 1; w >= 0; w-- {
-		for i := 0; i < c; i++ {
-			acc.double()
-		}
-		var running, sum g2Jac
-		running.setInfinity()
-		sum.setInfinity()
-		win := buckets[w*nb : (w+1)*nb]
-		for b := nb - 1; b >= 0; b-- {
-			running.addAffine(&win[b])
-			sum.add(&running)
-		}
-		acc.add(&sum)
-	}
 }
 
 // --- reusable arenas and limb-scalar cores ---
@@ -669,8 +546,6 @@ func G1MultiExpPippenger(points []*G1, scalars []*big.Int) *G1 {
 	ar := pippengerPool.Get().(*pippengerArena)
 	bases := ar.g1Bases[:0]
 	vals := ar.vals[:0]
-	var fbPts []*G1
-	var fbEs []*big.Int
 	for i := range points {
 		if points[i].inf {
 			continue
@@ -681,8 +556,7 @@ func G1MultiExpPippenger(points []*G1, scalars []*big.Int) *G1 {
 		}
 		var subs [2]scalar.SubScalar
 		if !g1Endo.lat.DecomposeInto(&e, subs[:]) {
-			fbPts, fbEs = strausFallbackG1(points[i], scalars[i], fbPts, fbEs)
-			continue
+			panic(errDecompose)
 		}
 		var b [2]G1
 		b[0].Set(points[i])
@@ -702,11 +576,6 @@ func G1MultiExpPippenger(points []*G1, scalars []*big.Int) *G1 {
 	var acc g1Jac
 	g1MultiExpPippengerLimbs(&acc, bases, vals, ar)
 	pippengerPool.Put(ar)
-	if len(fbPts) > 0 {
-		var fbAcc g1Jac
-		g1MultiExpPippengerBig(&fbAcc, fbPts, fbEs)
-		acc.add(&fbAcc)
-	}
 	out := new(G1)
 	acc.toAffine(out)
 	return out
@@ -723,8 +592,6 @@ func G2MultiExpPippenger(points []*G2, scalars []*big.Int) *G2 {
 	ar := pippengerPool.Get().(*pippengerArena)
 	bases := ar.g2Bases[:0]
 	vals := ar.vals[:0]
-	var fbPts []*G2
-	var fbEs []*big.Int
 	for i := range points {
 		if points[i].inf {
 			continue
@@ -735,8 +602,7 @@ func G2MultiExpPippenger(points []*G2, scalars []*big.Int) *G2 {
 		}
 		var subs [4]scalar.SubScalar
 		if !g2Endo.lat.DecomposeInto(&e, subs[:]) {
-			fbPts, fbEs = strausFallbackG2(points[i], scalars[i], fbPts, fbEs)
-			continue
+			panic(errDecompose)
 		}
 		var b [4]G2
 		b[0].Set(points[i])
@@ -758,11 +624,6 @@ func G2MultiExpPippenger(points []*G2, scalars []*big.Int) *G2 {
 	var acc g2Jac
 	g2MultiExpPippengerLimbs(&acc, bases, vals, ar)
 	pippengerPool.Put(ar)
-	if len(fbPts) > 0 {
-		var fbAcc g2Jac
-		g2MultiExpPippengerBig(&fbAcc, fbPts, fbEs)
-		acc.add(&fbAcc)
-	}
 	out := new(G2)
 	acc.toAffine(out)
 	return out

@@ -7,10 +7,11 @@ import (
 	"repro/internal/ff"
 )
 
-// This file is the scalar-multiplication fast path: width-4 wNAF
-// variable-base multiplication, fixed-base precomputation tables for
-// the two generators, and Straus-interleaved multi-scalar
-// multiplication. The naive double-and-add loops survive as
+// This file holds the Jacobian point arithmetic the scalar
+// multiplications share, the big.Int wNAF ladder for raw (unreduced)
+// scalars on the twist, fixed-base precomputation tables for the two
+// generators, and Straus-interleaved multi-scalar multiplication over
+// GLV/GLS sub-scalars. The naive double-and-add loops survive as
 // ScalarMultReference / ScalarBaseMultReference in g1.go and g2.go;
 // differential tests pin the two paths to bit-identical outputs.
 //
@@ -202,34 +203,12 @@ func g2BatchToAffine(jacs []g2Jac, out []G2) {
 
 const wnafWidth = 4
 
-// g1WNAFMult sets acc = [e]a for e > 0 using width-4 wNAF: a table of
+// g2WNAFMult sets acc = [e]a for e > 0 using width-4 wNAF: a table of
 // the odd multiples {1,3,5,7}·a and signed digits, costing ~e.BitLen()
-// doublings plus one addition per ~(w+1) bits.
-func g1WNAFMult(acc *g1Jac, a *G1, e *big.Int) {
-	digits := ff.WNAF(e, wnafWidth)
-	var tbl [1 << (wnafWidth - 2)]g1Jac
-	tbl[0].setAffine(a)
-	var twoA g1Jac
-	twoA.setAffine(a)
-	twoA.double()
-	for i := 1; i < len(tbl); i++ {
-		tbl[i] = tbl[i-1]
-		tbl[i].add(&twoA)
-	}
-	acc.setInfinity()
-	for i := len(digits) - 1; i >= 0; i-- {
-		acc.double()
-		if d := digits[i]; d > 0 {
-			acc.add(&tbl[d>>1])
-		} else if d < 0 {
-			n := tbl[(-d)>>1]
-			n.neg()
-			acc.add(&n)
-		}
-	}
-}
-
-// g2WNAFMult is g1WNAFMult on the twist.
+// doublings plus one addition per ~(w+1) bits. It uses the raw value of
+// e, so it is the ladder for points that may lie outside the r-subgroup
+// (g2ScalarMultRaw, IsInSubgroup), where the endomorphism split does
+// not apply.
 func g2WNAFMult(acc *g2Jac, a *G2, e *big.Int) {
 	digits := ff.WNAF(e, wnafWidth)
 	var tbl [1 << (wnafWidth - 2)]g2Jac
@@ -323,105 +302,6 @@ func fbDigitLimbs(e *[4]uint64, w int) uint {
 	return uint(e[pos>>6]>>(pos&63)) & (1<<fbWindowBits - 1)
 }
 
-// --- interleaved multi-wNAF cores ---
-
-// g1MultiWNAF sets acc = Σ [es[i]]·pts[i] with one shared doubling
-// chain (Straus/wNAF interleaving): the chain is as long as the largest
-// scalar's wNAF, and each term contributes one addition per ~(w+1)
-// bits. Scalars must be non-negative and are used at their raw values;
-// callers fold signs into the points. This is the evaluation engine
-// under both the multi-scalar entry points and the GLV/GLS ladders.
-func g1MultiWNAF(acc *g1Jac, pts []*G1, es []*big.Int) {
-	type term struct {
-		digits []int8
-		tbl    [1 << (wnafWidth - 2)]g1Jac
-	}
-	terms := make([]term, 0, len(pts))
-	maxLen := 0
-	for i := range pts {
-		if es[i].Sign() == 0 || pts[i].inf {
-			continue
-		}
-		var t term
-		t.digits = ff.WNAF(es[i], wnafWidth)
-		t.tbl[0].setAffine(pts[i])
-		var twoA g1Jac
-		twoA.setAffine(pts[i])
-		twoA.double()
-		for j := 1; j < len(t.tbl); j++ {
-			t.tbl[j] = t.tbl[j-1]
-			t.tbl[j].add(&twoA)
-		}
-		if len(t.digits) > maxLen {
-			maxLen = len(t.digits)
-		}
-		terms = append(terms, t)
-	}
-	acc.setInfinity()
-	for i := maxLen - 1; i >= 0; i-- {
-		acc.double()
-		for k := range terms {
-			t := &terms[k]
-			if i >= len(t.digits) {
-				continue
-			}
-			if d := t.digits[i]; d > 0 {
-				acc.add(&t.tbl[d>>1])
-			} else if d < 0 {
-				n := t.tbl[(-d)>>1]
-				n.neg()
-				acc.add(&n)
-			}
-		}
-	}
-}
-
-// g2MultiWNAF is g1MultiWNAF on the twist.
-func g2MultiWNAF(acc *g2Jac, pts []*G2, es []*big.Int) {
-	type term struct {
-		digits []int8
-		tbl    [1 << (wnafWidth - 2)]g2Jac
-	}
-	terms := make([]term, 0, len(pts))
-	maxLen := 0
-	for i := range pts {
-		if es[i].Sign() == 0 || pts[i].inf {
-			continue
-		}
-		var t term
-		t.digits = ff.WNAF(es[i], wnafWidth)
-		t.tbl[0].setAffine(pts[i])
-		var twoA g2Jac
-		twoA.setAffine(pts[i])
-		twoA.double()
-		for j := 1; j < len(t.tbl); j++ {
-			t.tbl[j] = t.tbl[j-1]
-			t.tbl[j].add(&twoA)
-		}
-		if len(t.digits) > maxLen {
-			maxLen = len(t.digits)
-		}
-		terms = append(terms, t)
-	}
-	acc.setInfinity()
-	for i := maxLen - 1; i >= 0; i-- {
-		acc.double()
-		for k := range terms {
-			t := &terms[k]
-			if i >= len(t.digits) {
-				continue
-			}
-			if d := t.digits[i]; d > 0 {
-				acc.add(&t.tbl[d>>1])
-			} else if d < 0 {
-				n := t.tbl[(-d)>>1]
-				n.neg()
-				acc.add(&n)
-			}
-		}
-	}
-}
-
 // --- multi-scalar multiplication (Straus interleaving + GLV/GLS split) ---
 
 // G1MultiScalarMult computes Σ [scalars[i]]·points[i] with one shared
@@ -440,8 +320,6 @@ func G1MultiScalarMult(points []*G1, scalars []*big.Int) *G1 {
 	// terms hold slices into the buffer.
 	terms := make([]g1LadderTerm, 0, 2*len(points))
 	digits := make([]int8, 0, 2*len(points)*ff.WNAFMaxDigits)
-	var fbPts []*G1
-	var fbEs []*big.Int
 	for i := range points {
 		if points[i].inf {
 			continue
@@ -450,18 +328,10 @@ func G1MultiScalarMult(points []*G1, scalars []*big.Int) *G1 {
 		if e == [4]uint64{} {
 			continue
 		}
-		var ok bool
-		if terms, digits, ok = glvSplitLimbs(points[i], &e, terms, digits); !ok {
-			fbPts, fbEs = strausFallbackG1(points[i], scalars[i], fbPts, fbEs)
-		}
+		terms, digits = glvSplitLimbs(points[i], &e, terms, digits)
 	}
 	var acc g1Jac
 	g1LadderRun(&acc, terms)
-	if len(fbPts) > 0 {
-		var fbAcc g1Jac
-		g1MultiWNAF(&fbAcc, fbPts, fbEs)
-		acc.add(&fbAcc)
-	}
 	out := new(G1)
 	acc.toAffine(out)
 	return out
@@ -480,8 +350,6 @@ func G2MultiScalarMult(points []*G2, scalars []*big.Int) *G2 {
 	g2Endo.once.Do(g2EndoInit)
 	terms := make([]g2LadderTerm, 0, 4*len(points))
 	digits := make([]int8, 0, 4*len(points)*ff.WNAFMaxDigits)
-	var fbPts []*G2
-	var fbEs []*big.Int
 	for i := range points {
 		if points[i].inf {
 			continue
@@ -490,18 +358,10 @@ func G2MultiScalarMult(points []*G2, scalars []*big.Int) *G2 {
 		if e == [4]uint64{} {
 			continue
 		}
-		var ok bool
-		if terms, digits, ok = glsSplitLimbs(points[i], &e, terms, digits); !ok {
-			fbPts, fbEs = strausFallbackG2(points[i], scalars[i], fbPts, fbEs)
-		}
+		terms, digits = glsSplitLimbs(points[i], &e, terms, digits)
 	}
 	var acc g2Jac
 	g2LadderRun(&acc, terms)
-	if len(fbPts) > 0 {
-		var fbAcc g2Jac
-		g2MultiWNAF(&fbAcc, fbPts, fbEs)
-		acc.add(&fbAcc)
-	}
 	out := new(G2)
 	acc.toAffine(out)
 	return out

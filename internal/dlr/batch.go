@@ -1,12 +1,10 @@
 package dlr
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"math/big"
 
 	"repro/internal/bn254"
-	"repro/internal/cache"
 	"repro/internal/device"
 	"repro/internal/hpske"
 	"repro/internal/opcount"
@@ -89,7 +87,7 @@ func (p *P1) RunDecBatch(ch device.Channel, cs []*Ciphertext) ([]*bn254.GT, erro
 		cts := make([]*hpske.Ciphertext[*bn254.G2], 0, p.prm.Ell+1)
 		cts = append(cts, p.encSK1...)
 		cts = append(cts, p.encPhi)
-		payload, err := p.encodeG2List(cts)
+		payload, err := hpske.EncodeList(p.ssG2, cts)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +105,7 @@ func (p *P1) RunDecBatch(ch device.Channel, cs []*Ciphertext) ([]*bn254.GT, erro
 		if err != nil {
 			return nil, err
 		}
-		tabs = p.batchTablesCached(us[0], reply.Payload)
+		tabs = p.batchTables(us[0])
 		p.batchTabs.Store(&batchSession{tabs: tabs})
 	}
 
@@ -118,39 +116,6 @@ func (p *P1) RunDecBatch(ch device.Channel, cs []*Ciphertext) ([]*bn254.GT, erro
 	p.ctr.Add(opcount.Pairing, int64(len(cs)*len(tabs)))
 	p.ctr.Add(opcount.GTMul, int64(len(cs)))
 	return out, nil
-}
-
-// batchTableEntry is the cached form of a batch's pairing tables. The
-// digest pins the encoded u the tables were built from: P2's
-// combination is a deterministic function of both devices' share state
-// (LinComb draws no randomness), so within one epoch u is fixed — but
-// the digest check makes the cache self-correcting if the two devices'
-// states ever drift without P1 noticing a rotation. A mismatch is
-// treated as a miss and the entry is rebuilt from the live u.
-type batchTableEntry struct {
-	digest [sha256.Size]byte
-	tabs   []*bn254.PairingTable
-}
-
-// batchTablesCached wraps batchTables with the attached table cache
-// (when present) under (tenant, epoch, "dlr.batch"): the first batch
-// of an epoch builds and publishes the κ+1 tables, every later batch
-// replays them for free. enc is the wire encoding of u, hashed into
-// the validation digest. Without a cache this is exactly batchTables.
-func (p *P1) batchTablesCached(u *hpske.Ciphertext[*bn254.G2], enc []byte) []*bn254.PairingTable {
-	if p.tableCache == nil {
-		return p.batchTables(u)
-	}
-	key := cache.Key{Tenant: p.tenant, Epoch: p.epoch.Load(), Kind: "dlr.batch"}
-	digest := sha256.Sum256(enc)
-	if v, ok := p.tableCache.Get(key); ok {
-		if e := v.(*batchTableEntry); e.digest == digest {
-			return e.tabs
-		}
-	}
-	tabs := p.batchTables(u)
-	p.tableCache.Put(key, &batchTableEntry{digest: digest, tabs: tabs})
-	return tabs
 }
 
 // batchTables builds the fixed G2 side of the batch pairings: line
@@ -185,7 +150,7 @@ func decryptWithTables(c *Ciphertext, tabs []*bn254.PairingTable) *bn254.GT {
 // reply with u = Π fᵢ^sᵢ / fΦ, one coordinate-wise linear combination
 // with the division folded into a −1 exponent.
 func (p *P2) handleDecB1(msg wire.Msg) (wire.Msg, error) {
-	cts, codec, err := hpske.DecodeListCodec(p.ssG2, msg.Payload, p.prm.Ell+1)
+	cts, err := hpske.DecodeList(p.ssG2, msg.Payload, p.prm.Ell+1)
 	if err != nil {
 		return wire.Msg{}, err
 	}
@@ -201,9 +166,7 @@ func (p *P2) handleDecB1(msg wire.Msg) (wire.Msg, error) {
 	if err != nil {
 		return wire.Msg{}, err
 	}
-	// Echo the request's codec so legacy and compressed peers both
-	// decode the reply.
-	payload, err := hpske.EncodeListCodec(p.ssG2, []*hpske.Ciphertext[*bn254.G2]{u}, codec)
+	payload, err := hpske.EncodeList(p.ssG2, []*hpske.Ciphertext[*bn254.G2]{u})
 	if err != nil {
 		return wire.Msg{}, err
 	}

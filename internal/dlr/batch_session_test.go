@@ -7,9 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/bn254"
-	"repro/internal/cache"
 	"repro/internal/params"
 )
+
+// The batch session (P1.batchTabs) is the one place the κ+1 batch
+// pairing tables live. These tests pin its lifecycle: installed by the
+// first batch of an epoch, replayed by every later batch of that epoch
+// with no round trip, and dropped by every rotation so no later batch
+// can replay a table built from a retired share state. The session is
+// P1's batch-table cache, and the tests are named for it.
 
 // encryptN returns n fresh ciphertexts with their plaintexts.
 func encryptN(t *testing.T, pk *PublicKey, n int) ([]*Ciphertext, []*bn254.GT) {
@@ -37,52 +43,39 @@ func checkBatch(t *testing.T, got, want []*bn254.GT) {
 	}
 	for i := range want {
 		if !got[i].Equal(want[i]) {
-			t.Fatalf("message %d wrong after cached batch decrypt", i)
+			t.Fatalf("message %d wrong after batch decrypt", i)
 		}
 	}
 }
 
-// TestBatchCacheWarmHit runs two batches in the same epoch and checks
-// the second one replays the cold batch's tables instead of rebuilding:
-// within one P1 instance via the installed batch session (no further
-// cache traffic at all, no channel traffic), and across instances —
-// the restart scenario the cache exists for — via a cache hit from a
-// second P1 restored from the first one's serialized state.
+// TestBatchCacheWarmHit runs two batches in the same epoch: the first
+// pays the round trip and installs the session, the second replays it
+// with no channel traffic. A P1 restored from serialized state starts
+// without a session and pays its own round trip.
 func TestBatchCacheWarmHit(t *testing.T) {
 	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
-	c := cache.New(8)
-	p1.AttachCache(c, "tenant-a")
-
 	cs, ms := encryptN(t, pk, 3)
-	got, _, err := DecryptBatch(p1, p2, cs)
+	if p1.BatchWarm() {
+		t.Fatal("fresh P1 reports a warm batch session")
+	}
+	got, stats, err := DecryptBatch(p1, p2, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBatch(t, got, ms)
-	if s := c.Stats(); s.Hits != 0 {
-		t.Fatalf("cold batch reported %d hits", s.Hits)
+	if stats.BytesP1 == 0 || !p1.BatchWarm() {
+		t.Fatal("cold batch did not pay a round trip and install the session")
 	}
-	missesAfterCold := c.Stats().Misses
 
-	// Same instance: the installed session serves the second batch with
-	// no rebuild — no new misses, and no round trip either.
-	got, stats, err := DecryptBatch(p1, p2, cs[:2])
+	got, stats, err = DecryptBatch(p1, p2, cs[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBatch(t, got, ms[:2])
-	if s := c.Stats(); s.Misses != missesAfterCold {
-		t.Fatalf("warm batch rebuilt tables: stats %+v", s)
-	}
 	if stats.BytesP1 != 0 {
-		t.Fatal("warm batch of the same instance still paid a round trip")
+		t.Fatal("warm batch still paid a round trip")
 	}
 
-	// Cross-instance: a P1 restored from serialized state (same share,
-	// same tenant, fresh epoch counter starting at 0 — matching the
-	// original's unrotated epoch) must hit the published entry: the
-	// digest validates because u is a deterministic function of the
-	// devices' share state.
 	raw, err := p1.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -91,30 +84,24 @@ func TestBatchCacheWarmHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1b.AttachCache(c, "tenant-a")
-	hitsBefore := c.Stats().Hits
+	if p1b.BatchWarm() {
+		t.Fatal("restored P1 carried a batch session through Marshal")
+	}
 	got, _, err = DecryptBatch(p1b, p2, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBatch(t, got, ms)
-	if s := c.Stats(); s.Hits == hitsBefore {
-		t.Fatalf("restored instance missed the published tables: stats %+v", s)
-	}
 }
 
 // TestBatchCacheRefreshInvalidates is the rotation-soundness
-// regression test: a decrypt after a refresh must never replay a
-// pre-refresh table — neither via the cache (epoch changed AND the
-// tenant was invalidated) nor via any in-struct pointer — and must
-// still decrypt correctly under the rotated shares.
+// regression test: a refresh bumps the epoch and drops the session, and
+// the next batch pays a round trip for fresh tables and still decrypts
+// correctly under the rotated shares.
 func TestBatchCacheRefreshInvalidates(t *testing.T) {
 	for _, mode := range []params.Mode{params.ModeBasic, params.ModeOptimalRate} {
 		t.Run(mode.String(), func(t *testing.T) {
 			pk, p1, p2 := genTest(t, mode)
-			c := cache.New(8)
-			p1.AttachCache(c, "tenant-a")
-
 			cs, ms := encryptN(t, pk, 2)
 			got, _, err := DecryptBatch(p1, p2, cs)
 			if err != nil {
@@ -122,9 +109,6 @@ func TestBatchCacheRefreshInvalidates(t *testing.T) {
 			}
 			checkBatch(t, got, ms)
 			epochBefore := p1.Epoch()
-			if c.Len() == 0 {
-				t.Fatal("cold batch published nothing")
-			}
 
 			if _, err := Refresh(rand.Reader, p1, p2); err != nil {
 				t.Fatalf("Refresh: %v", err)
@@ -132,20 +116,17 @@ func TestBatchCacheRefreshInvalidates(t *testing.T) {
 			if p1.Epoch() == epochBefore {
 				t.Fatal("refresh did not bump the rotation epoch")
 			}
-			if c.Len() != 0 {
-				t.Fatalf("refresh left %d stale entries in the cache", c.Len())
+			if p1.BatchWarm() {
+				t.Fatal("refresh left the pre-refresh batch session installed")
 			}
 
-			// The post-refresh batch must build fresh tables (a miss, not
-			// a hit) and still decrypt correctly.
-			hitsBefore := c.Stats().Hits
-			got, _, err = DecryptBatch(p1, p2, cs)
+			got, stats, err := DecryptBatch(p1, p2, cs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkBatch(t, got, ms)
-			if c.Stats().Hits != hitsBefore {
-				t.Fatal("post-refresh batch hit the cache — replayed a pre-refresh table")
+			if stats.BytesP1 == 0 {
+				t.Fatal("post-refresh batch replayed tables without a round trip")
 			}
 		})
 	}
@@ -156,9 +137,6 @@ func TestBatchCacheRefreshInvalidates(t *testing.T) {
 // key fold) without running the refresh protocol.
 func TestBatchCachePeriodRotationInvalidates(t *testing.T) {
 	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
-	c := cache.New(8)
-	p1.AttachCache(c, "tenant-a")
-
 	cs, ms := encryptN(t, pk, 2)
 	got, _, err := DecryptBatch(p1, p2, cs)
 	if err != nil {
@@ -173,25 +151,26 @@ func TestBatchCachePeriodRotationInvalidates(t *testing.T) {
 	if p1.Epoch() == epochBefore {
 		t.Fatal("BeginPeriod did not bump the rotation epoch")
 	}
-	hitsBefore := c.Stats().Hits
-	got, _, err = DecryptBatch(p1, p2, cs)
+	if p1.BatchWarm() {
+		t.Fatal("BeginPeriod left the old batch session installed")
+	}
+	got, stats, err := DecryptBatch(p1, p2, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkBatch(t, got, ms)
-	if c.Stats().Hits != hitsBefore {
-		t.Fatal("post-rotation batch hit the cache")
+	if stats.BytesP1 == 0 {
+		t.Fatal("post-rotation batch replayed tables without a round trip")
 	}
 }
 
-// TestBatchCacheMultiTenantConcurrent shares one cache between several
-// tenants' P1 instances decrypting and refreshing concurrently; under
-// -race this is the integration-level thread-safety check, and each
-// tenant's decrypts must stay correct throughout.
+// TestBatchCacheMultiTenantConcurrent runs several tenants' P1
+// instances decrypting and refreshing concurrently; under -race this is
+// the integration-level thread-safety check over the process-wide
+// state they share (fixed-base and endomorphism tables, arena pools),
+// and each tenant's decrypts must stay correct throughout.
 func TestBatchCacheMultiTenantConcurrent(t *testing.T) {
 	const tenants = 3
-	c := cache.New(2 * tenants)
-
 	type tenantState struct {
 		pk *PublicKey
 		p1 *P1
@@ -200,7 +179,6 @@ func TestBatchCacheMultiTenantConcurrent(t *testing.T) {
 	sts := make([]*tenantState, tenants)
 	for i := range sts {
 		pk, p1, p2 := genTest(t, params.ModeOptimalRate)
-		p1.AttachCache(c, fmt.Sprintf("tenant-%d", i))
 		sts[i] = &tenantState{pk: pk, p1: p1, p2: p2}
 	}
 

@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bn254"
-	"repro/internal/cache"
 	"repro/internal/group"
 	"repro/internal/hpske"
 	"repro/internal/opcount"
@@ -168,43 +167,13 @@ type P1 struct {
 	// epoch counts share-state rotations: it is bumped by every
 	// operation that replaces encSK1/encPhi/skcomm (RunRef, BeginPeriod,
 	// rebuildEncryptedShare, CommitRefresh). Unlike period — which only
-	// refresh protocols advance — epoch changes on EVERY rotation, which
-	// is what the table cache keys on: a post-rotation lookup can never
-	// address a pre-rotation entry. See internal/cache for why this
-	// matters for leakage soundness. Atomic because observers (the
-	// server's TenantEpoch gauge, StageRefresh running concurrently with
-	// serving) read it while a rotation on the owning loop bumps it.
+	// refresh protocols advance — epoch changes on EVERY rotation, so
+	// CommitRefresh can refuse a staged refresh whose base state has
+	// been replaced. Atomic because observers (the server's TenantEpoch
+	// gauge, StageRefresh running concurrently with serving) read it
+	// while a rotation on the owning loop bumps it.
 	//dlr:atomic
 	epoch atomic.Uint64
-
-	// tableCache, when attached, shares precomputed pairing tables
-	// across requests (and across P1 instances of different tenants)
-	// keyed by (tenant, epoch, kind). Nil means uncached — all table
-	// builds stay per-call/per-instance as before.
-	tableCache *cache.Cache
-	tenant     string
-
-	// legacyWire pins P1's protocol frames to the uncompressed v1 list
-	// codec, for devices that predate point compression. See
-	// SetLegacyWire.
-	legacyWire bool
-}
-
-// SetLegacyWire selects the list codec this P1 emits on the device
-// channel: false (default) sends point-compressed G2 lists (hpske codec
-// v2, roughly half the bytes); true pins the legacy uncompressed
-// format for a P2 that predates the compressed codec. P2's handlers
-// always answer in the codec the request arrived in, so no flag exists
-// on that side.
-func (p *P1) SetLegacyWire(legacy bool) { p.legacyWire = legacy }
-
-// encodeG2List serializes a G2 ciphertext list in the codec this P1
-// emits (see SetLegacyWire).
-func (p *P1) encodeG2List(cts []*hpske.Ciphertext[*bn254.G2]) ([]byte, error) {
-	if p.legacyWire {
-		return hpske.EncodeListLegacy(p.ssG2, cts)
-	}
-	return hpske.EncodeList(p.ssG2, cts)
 }
 
 // P2 is the auxiliary device's state: just the Π_ss key sk2 = (s1,…,sℓ).
@@ -402,64 +371,31 @@ func (p *P1) rebuildEncryptedShare(rng io.Reader) error {
 
 // noteRotation records that the share state (encSK1/encPhi/skcomm) has
 // been replaced: every precomputed table derived from the old state is
-// now dead. The epoch bump is what guarantees correctness — cache keys
-// embed it, so stale entries become unaddressable — and the eager
-// invalidation just reclaims their memory without waiting for LRU
-// pressure.
+// now dead and is dropped, and the epoch advances.
 func (p *P1) noteRotation() {
 	p.epoch.Add(1)
 	p.transTabs = nil
 	p.batchTabs.Store(nil)
-	if p.tableCache != nil {
-		p.tableCache.InvalidateTenant(p.tenant)
-	}
-}
-
-// AttachCache shares the precomputation cache c with this P1 under the
-// given tenant label. Tables built from the current share state are
-// published under (tenant, epoch, kind) keys and reused until the next
-// rotation bumps the epoch. Attach only to live instances: the
-// attachment (and the epoch counter) is deliberately not serialized by
-// Marshal, so a P1 restored from bytes starts uncached and cannot
-// collide with entries a previous incarnation published.
-func (p *P1) AttachCache(c *cache.Cache, tenant string) {
-	p.tableCache = c
-	p.tenant = tenant
 }
 
 // Epoch returns the share-rotation epoch (see the field doc).
 func (p *P1) Epoch() uint64 { return p.epoch.Load() }
 
-// transportTables returns the cached line tables for the current
-// encrypted share, building them (one per ciphertext, fanned out across
-// CPUs) on first use. The tables are pure public-key material: they are
-// a deterministic function of the public encSK1/encPhi ciphertexts, so
-// caching them adds nothing to P1's secret memory or leakage surface.
-// With a cache attached, the build is also published under
-// (tenant, epoch, "dlr.transport") so other holders of the cache — or
-// this P1 after its in-struct pointer was dropped — skip the κ+1
-// Miller precomputations per ciphertext.
+// transportTables returns the line tables for the current encrypted
+// share, building them (one per ciphertext, fanned out across CPUs) on
+// first use. The tables are pure public-key material: they are a
+// deterministic function of the public encSK1/encPhi ciphertexts, so
+// keeping them adds nothing to P1's secret memory or leakage surface.
 func (p *P1) transportTables() []*hpske.TransportTable {
 	if p.transTabs != nil {
 		return p.transTabs
-	}
-	key := cache.Key{Tenant: p.tenant, Epoch: p.epoch.Load(), Kind: "dlr.transport"}
-	if p.tableCache != nil {
-		if v, ok := p.tableCache.Get(key); ok {
-			p.transTabs = v.([]*hpske.TransportTable)
-			return p.transTabs
-		}
 	}
 	srcs := make([]*hpske.Ciphertext[*bn254.G2], 0, p.prm.Ell+1)
 	srcs = append(srcs, p.encSK1...)
 	srcs = append(srcs, p.encPhi)
 	// One flattened fan-out over all (ℓ+1)(κ+1) line tables instead of
 	// a fork/join barrier per ciphertext.
-	tabs := hpske.PrecomputeTransportMany(srcs)
-	p.transTabs = tabs
-	if p.tableCache != nil {
-		p.tableCache.Put(key, tabs)
-	}
+	p.transTabs = hpske.PrecomputeTransportMany(srcs)
 	return p.transTabs
 }
 

@@ -62,8 +62,6 @@ func (p *P1) Marshal() ([]byte, error) {
 	b.AppendUint32(uint32(p.mode))
 	b.AppendBytes(p.skcomm.Bytes())
 	if p.mode == params.ModeBasic {
-		// Compressed since the wire-codec change; UnmarshalP1 still
-		// accepts states written with raw 128-byte points.
 		sh := make([]byte, 0, (p.prm.Ell+1)*bn254.G2BytesCompressed)
 		for _, a := range p.sk1.Coins {
 			sh = a.AppendCompressed(sh)
@@ -123,29 +121,20 @@ func UnmarshalP1(pk *PublicKey, raw []byte, ctr *opcount.Counter) (*P1, error) {
 	skel.skcomm = hpske.Key(skcomm)
 
 	if mode == params.ModeBasic {
-		// Accept both point encodings, distinguished by length: 65-byte
-		// compressed (current Marshal) and 128-byte raw (legacy states).
-		var el int
-		decode := func(b []byte) (*bn254.G2, error) { return new(bn254.G2).SetBytesCompressed(b) }
-		switch len(shRaw) {
-		case (pk.Params.Ell + 1) * bn254.G2BytesCompressed:
-			el = bn254.G2BytesCompressed
-		case (pk.Params.Ell + 1) * bn254.G2Bytes:
-			el = bn254.G2Bytes
-			decode = func(b []byte) (*bn254.G2, error) { return new(bn254.G2).SetBytes(b) }
-		default:
-			return nil, fmt.Errorf("dlr: plaintext share is %d bytes, want %d (compressed) or %d (legacy)",
-				len(shRaw), (pk.Params.Ell+1)*bn254.G2BytesCompressed, (pk.Params.Ell+1)*bn254.G2Bytes)
+		const el = bn254.G2BytesCompressed
+		if len(shRaw) != (pk.Params.Ell+1)*el {
+			return nil, fmt.Errorf("dlr: plaintext share is %d bytes, want %d",
+				len(shRaw), (pk.Params.Ell+1)*el)
 		}
 		coins := make([]*bn254.G2, pk.Params.Ell)
 		for i := range coins {
-			pt, err := decode(shRaw[i*el : (i+1)*el])
+			pt, err := new(bn254.G2).SetBytesCompressed(shRaw[i*el : (i+1)*el])
 			if err != nil {
 				return nil, err
 			}
 			coins[i] = pt
 		}
-		phi, err := decode(shRaw[pk.Params.Ell*el:])
+		phi, err := new(bn254.G2).SetBytesCompressed(shRaw[pk.Params.Ell*el:])
 		if err != nil {
 			return nil, err
 		}

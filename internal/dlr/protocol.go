@@ -140,7 +140,7 @@ func (p *P1) RunRef(rng io.Reader, ch device.Channel) error {
 		cts = append(cts, p.encSK1[i], fPrimes[i])
 	}
 	cts = append(cts, p.encPhi)
-	payload, err := p.encodeG2List(cts)
+	payload, err := hpske.EncodeList(p.ssG2, cts)
 	if err != nil {
 		return err
 	}
@@ -187,7 +187,7 @@ func (p *P1) RunRef(rng io.Reader, ch device.Channel) error {
 //
 //dlr:zeroize sk2
 func (p *P2) handleRef1(msg wire.Msg) (wire.Msg, error) {
-	cts, codec, err := hpske.DecodeListCodec(p.ssG2, msg.Payload, 2*p.prm.Ell+1)
+	cts, err := hpske.DecodeList(p.ssG2, msg.Payload, 2*p.prm.Ell+1)
 	if err != nil {
 		return wire.Msg{}, err
 	}
@@ -213,9 +213,7 @@ func (p *P2) handleRef1(msg wire.Msg) (wire.Msg, error) {
 	if err != nil {
 		return wire.Msg{}, err
 	}
-	// Answer in the codec the request arrived in, so a legacy P1 can
-	// decode the reply while compressed-capable peers get v2 back.
-	payload, err := hpske.EncodeListCodec(p.ssG2, []*hpske.Ciphertext[*bn254.G2]{acc}, codec)
+	payload, err := hpske.EncodeList(p.ssG2, []*hpske.Ciphertext[*bn254.G2]{acc})
 	if err != nil {
 		return wire.Msg{}, err
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/bn254"
-	"repro/internal/cache"
 	"repro/internal/dlr"
 	"repro/internal/params"
 	"repro/internal/server"
@@ -32,14 +31,14 @@ func serverRaceSetup(t *testing.T) (*dlr.PublicKey, *dlr.P1, *dlr.P2) {
 }
 
 // TestServerRefreshEpochInvalidatesTables alternates batches of
-// concurrent client decrypts with share refreshes and asserts, via the
-// epoch-keyed table cache, that no post-rotation window can replay a
-// pre-rotation table: each rotation bumps the epoch and drops every
-// older entry, so the retired epoch's keys become unaddressable AND
-// absent. The two rotation paths differ in what the first post-rotation
-// window then does — the cold path rebuilds (fresh misses), the
-// pipelined path finds prewarmed tables (no new misses at all) — and
-// both expectations are pinned here.
+// concurrent client decrypts with share refreshes and asserts, via
+// P1's batch session, that no post-rotation window can replay a
+// pre-rotation table: each rotation bumps the epoch and replaces the
+// session. The two rotation paths differ in what the first
+// post-rotation window then finds — the cold path has dropped the
+// session and rebuilds it, the pipelined path installed the next
+// epoch's session at commit — and both expectations are pinned here,
+// along with correct decrypts after every rotation.
 func TestServerRefreshEpochInvalidatesTables(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -60,9 +59,6 @@ func TestServerRefreshEpochInvalidatesTables(t *testing.T) {
 
 func testServerRefreshEpochInvalidatesTables(t *testing.T, cold bool, epochStep uint64) {
 	pk, p1, p2 := serverRaceSetup(t)
-	tabCache := cache.New(16)
-	p1.AttachCache(tabCache, "alice")
-
 	s := server.New(server.Config{BatchSize: 4, Window: 5 * time.Millisecond, ColdRefresh: cold})
 	if err := s.RegisterLocal("alice", p1, p2); err != nil {
 		t.Fatal(err)
@@ -122,7 +118,6 @@ func testServerRefreshEpochInvalidatesTables(t *testing.T, cold bool, epochStep 
 	}
 	for r := 0; r < rounds; r++ {
 		decryptRound()
-		oldEpoch := epoch
 		newEpoch, err := c.Refresh("alice")
 		if err != nil {
 			t.Fatalf("refresh %d: %v", r, err)
@@ -131,36 +126,15 @@ func testServerRefreshEpochInvalidatesTables(t *testing.T, cold bool, epochStep 
 			t.Fatalf("refresh %d: epoch = %d, want %d", r, newEpoch, epoch+epochStep)
 		}
 		epoch = newEpoch
-		// Every retired-epoch entry is gone from the cache — the
-		// no-stale-table invariant, independent of rotation path.
-		for _, kind := range []string{"dlr.transport", "dlr.batch"} {
-			for e := oldEpoch; e < newEpoch; e++ {
-				if _, ok := tabCache.Get(cache.Key{Tenant: "alice", Epoch: e, Kind: kind}); ok {
-					t.Fatalf("refresh %d: %q entry of retired epoch %d survived the rotation", r, kind, e)
-				}
-			}
+		// The window loop is idle between rounds, so the session seen
+		// here is the one the next window starts from.
+		if warm := p1.BatchWarm(); warm == cold {
+			t.Fatalf("refresh %d: batch session warm = %v after %s rotation, want %v",
+				r, warm, map[bool]string{true: "cold", false: "pipelined"}[cold], !cold)
 		}
-		// Sample the counters only now: the absence probes above count as
-		// misses themselves.
-		before := tabCache.Stats()
 		decryptRound()
-		after := tabCache.Stats()
-		if cold {
-			// The cold rotation re-keyed the namespace with nothing staged:
-			// the first post-rotation window must rebuild, showing up as
-			// fresh misses.
-			if after.Misses <= before.Misses {
-				t.Fatalf("refresh %d: no cache misses after cold rotation (before %d, after %d) — a pre-rotation table was replayed",
-					r, before.Misses, after.Misses)
-			}
-		} else {
-			// The pipelined rotation prewarmed the new epoch's tables at
-			// commit: the first post-rotation window must not rebuild
-			// anything.
-			if after.Misses != before.Misses {
-				t.Fatalf("refresh %d: %d cache misses after pipelined rotation — prewarm did not take",
-					r, after.Misses-before.Misses)
-			}
+		if !p1.BatchWarm() {
+			t.Fatalf("refresh %d: post-rotation windows left no batch session installed", r)
 		}
 	}
 }
@@ -173,7 +147,7 @@ func testServerRefreshEpochInvalidatesTables(t *testing.T, cold bool, epochStep 
 // prevents.
 func TestServerRefreshMidStreamLosesNothing(t *testing.T) {
 	pk, p1, p2 := serverRaceSetup(t)
-	s := server.New(server.Config{BatchSize: 4, Window: 2 * time.Millisecond, CacheCap: 8})
+	s := server.New(server.Config{BatchSize: 4, Window: 2 * time.Millisecond})
 	if err := s.RegisterLocal("alice", p1, p2); err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,11 @@
 package dlr
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"math/big"
 
 	"repro/internal/bn254"
-	"repro/internal/cache"
 	"repro/internal/device"
 	"repro/internal/hpske"
 	"repro/internal/params"
@@ -174,7 +172,7 @@ func (p *P1) StageRefresh(rng io.Reader) (*StagedRefresh, error) {
 		cts = append(cts, p.encSK1[i], fPrimes[i])
 	}
 	cts = append(cts, p.encPhi)
-	st.payload, err = p.encodeG2List(cts)
+	st.payload, err = hpske.EncodeList(p.ssG2, cts)
 	if err != nil {
 		st.Abandon()
 		return nil, err
@@ -228,10 +226,6 @@ func (p *P1) CommitRefresh(rng io.Reader, ch device.Channel, st *StagedRefresh) 
 	// e(A, g2^(−α)), does not change across refresh, so they serve
 	// every post-flip batch.
 	batchTabs := p.batchTables(uPrime)
-	uEnc, err := hpske.EncodeList(p.ssG2, []*hpske.Ciphertext[*bn254.G2]{uPrime})
-	if err != nil {
-		return err
-	}
 
 	var encPhi *hpske.Ciphertext[*bn254.G2]
 	switch p.mode {
@@ -271,17 +265,6 @@ func (p *P1) CommitRefresh(rng io.Reader, ch device.Channel, st *StagedRefresh) 
 	st.consumed = true
 	st.nextKey = nil
 	st.newCoins = nil
-
-	if p.tableCache != nil {
-		// Publish the prewarmed sets under the NEW epoch, then drop only
-		// the retiring epochs: InvalidateTenant here would throw away the
-		// warmth the pipeline just built.
-		epoch := p.epoch.Load()
-		p.tableCache.Put(cache.Key{Tenant: p.tenant, Epoch: epoch, Kind: "dlr.transport"}, transTabs)
-		p.tableCache.Put(cache.Key{Tenant: p.tenant, Epoch: epoch, Kind: "dlr.batch"},
-			&batchTableEntry{digest: sha256.Sum256(uEnc), tabs: batchTabs})
-		p.tableCache.InvalidateTenantBelow(p.tenant, epoch)
-	}
 	return nil
 }
 
@@ -294,7 +277,7 @@ func (p *P1) CommitRefresh(rng io.Reader, ch device.Channel, st *StagedRefresh) 
 //
 //dlr:zeroize sk2
 func (p *P2) handleRefP1(msg wire.Msg) (wire.Msg, error) {
-	cts, codec, err := hpske.DecodeListCodec(p.ssG2, msg.Payload, 2*p.prm.Ell+1)
+	cts, err := hpske.DecodeList(p.ssG2, msg.Payload, 2*p.prm.Ell+1)
 	if err != nil {
 		return wire.Msg{}, err
 	}
@@ -333,8 +316,7 @@ func (p *P2) handleRefP1(msg wire.Msg) (wire.Msg, error) {
 	if err != nil {
 		return wire.Msg{}, err
 	}
-	// Echo the request's codec (see handleRef1).
-	payload, err := hpske.EncodeListCodec(p.ssG2, []*hpske.Ciphertext[*bn254.G2]{f, uPrime}, codec)
+	payload, err := hpske.EncodeList(p.ssG2, []*hpske.Ciphertext[*bn254.G2]{f, uPrime})
 	if err != nil {
 		return wire.Msg{}, err
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bn254"
-	"repro/internal/cache"
 	"repro/internal/device"
 	"repro/internal/params"
 )
@@ -108,13 +107,11 @@ func TestPipelinedRefreshChangesShares(t *testing.T) {
 
 // TestPipelinedRefreshPrewarmsTables is the tentpole's core claim at
 // the dlr layer: after a staged rotation, the first batch of the new
-// epoch is served warm — zero device round trips (empty transcript),
-// zero cache misses — and the cache holds both prewarmed table
-// families under the new epoch with nothing from the old one.
+// epoch is served warm — zero device round trips (empty transcript) —
+// and the per-request path replays the prewarmed transport tables
+// instead of rebuilding them.
 func TestPipelinedRefreshPrewarmsTables(t *testing.T) {
 	pk, p1, p2 := genTest(t, params.ModeOptimalRate)
-	c := cache.New(8)
-	p1.AttachCache(c, "tenant-a")
 	cs, ms := encryptN(t, pk, 2)
 
 	// Establish a steady state: one cold batch installs the session.
@@ -123,23 +120,20 @@ func TestPipelinedRefreshPrewarmsTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBatch(t, got, ms)
+	oldTrans := p1.transportTables()
 
 	if _, err := RefreshPipelined(rand.Reader, p1, p2); err != nil {
 		t.Fatal(err)
 	}
-	newEpoch := p1.Epoch()
-	for _, kind := range []string{"dlr.transport", "dlr.batch"} {
-		if _, ok := c.Get(cache.Key{Tenant: "tenant-a", Epoch: newEpoch, Kind: kind}); !ok {
-			t.Fatalf("commit did not publish a prewarmed %q entry at epoch %d", kind, newEpoch)
-		}
-		if _, ok := c.Get(cache.Key{Tenant: "tenant-a", Epoch: newEpoch - 1, Kind: kind}); ok {
-			t.Fatalf("retired epoch's %q entry survived the commit", kind)
-		}
-	}
-
-	missesBefore := c.Stats().Misses
 	if !p1.BatchWarm() {
 		t.Fatal("commit did not install a warm batch session")
+	}
+	prewarmed := p1.transTabs
+	if len(prewarmed) != p1.prm.Ell+1 {
+		t.Fatalf("commit installed %d transport tables, want ℓ+1 = %d", len(prewarmed), p1.prm.Ell+1)
+	}
+	if prewarmed[0] == oldTrans[0] {
+		t.Fatal("commit kept the retired epoch's transport tables")
 	}
 	got, stats, err := DecryptBatch(p1, p2, cs)
 	if err != nil {
@@ -149,9 +143,6 @@ func TestPipelinedRefreshPrewarmsTables(t *testing.T) {
 	if stats.BytesP1 != 0 || stats.BytesP2 != 0 {
 		t.Fatalf("first post-rotation batch used the channel (%d/%d bytes); want a fully local warm batch",
 			stats.BytesP1, stats.BytesP2)
-	}
-	if c.Stats().Misses != missesBefore {
-		t.Fatal("first post-rotation batch missed the cache — prewarm did not take")
 	}
 
 	// The per-request path must also be warm: RunDec replays the staged
@@ -165,8 +156,8 @@ func TestPipelinedRefreshPrewarmsTables(t *testing.T) {
 	if !gotOne.Equal(m2) {
 		t.Fatal("per-request decrypt wrong after prewarmed rotation")
 	}
-	if c.Stats().Misses != missesBefore {
-		t.Fatal("per-request path missed the cache after prewarmed rotation")
+	if p1.transTabs[0] != prewarmed[0] {
+		t.Fatal("per-request path rebuilt the transport tables after a prewarmed rotation")
 	}
 }
 

@@ -7,35 +7,24 @@ import (
 	"repro/internal/wire"
 )
 
-// List codecs. The legacy codec (v1) is a uint32 count followed by
-// count fixed-size raw ciphertext encodings — the only format earlier
-// releases emit or understand. Codec v2 compresses every group element
-// (group.Compressor: x coordinate + parity flag), roughly halving the
-// dominant G2 frames, and is framed as
+// List layouts. The layout is a property of the element group, never
+// of the payload: a group with a compact codec (group.Compressor: x
+// coordinate + parity flag — G1 and G2) is framed as
 //
 //	sentinel uint32 = 0xFFFFFFFF
 //	codec    uint8  = 2
 //	count    uint32
 //	body     count × (κ+1) × CompressedLen bytes
 //
-// The sentinel can never open a legacy payload (a legacy count is
-// bounded by the protocol's expected list length, far below 2³²−1), so
-// DecodeList distinguishes the codecs from the payload alone.
-//
-// Negotiation: initiators emit the newest codec the element group
-// supports (EncodeList); responders decode whatever arrives
-// (DecodeList) and echo the request's codec back via DecodeListCodec +
-// EncodeListCodec, so a legacy peer talking to an upgraded responder
-// gets legacy replies while upgraded pairs run compressed in both
-// directions. Groups without a compressor (GT) stay byte-identical to
-// the legacy format in every codec path.
+// and a group without one (GT) as a uint32 count followed by count
+// fixed-size raw ciphertext encodings. The sentinel and codec byte are
+// kept so the bytes match what earlier releases wrote for G1/G2 lists;
+// a G1/G2 payload that does not open with them is rejected.
 const (
-	// CodecLegacy identifies the uncompressed v1 list format.
-	CodecLegacy = byte(1)
-	// CodecCompressed identifies the point-compressed v2 list format.
-	CodecCompressed = byte(2)
+	// codecCompressed identifies the point-compressed list layout.
+	codecCompressed = byte(2)
 
-	// codecSentinel opens a v2 payload in place of a legacy count.
+	// codecSentinel opens a compressed list in place of a count.
 	codecSentinel = uint32(0xFFFFFFFF)
 )
 
@@ -48,27 +37,12 @@ func compressor[E any](s *Scheme[E]) group.Compressor[E] {
 }
 
 // EncodeList serializes a list of ciphertexts for transmission as a
-// protocol frame payload, in the newest codec the scheme's group
-// supports: point-compressed v2 for G1/G2, legacy raw for GT.
+// protocol frame payload, in the layout the scheme's group selects:
+// point-compressed for G1/G2, count ‖ raw for GT.
 func EncodeList[E any](s *Scheme[E], cts []*Ciphertext[E]) ([]byte, error) {
-	if compressor(s) != nil {
-		return EncodeListCodec(s, cts, CodecCompressed)
-	}
-	return EncodeListCodec(s, cts, CodecLegacy)
-}
-
-// EncodeListLegacy serializes in the uncompressed v1 format regardless
-// of group capabilities — for peers that predate the compressed codec.
-func EncodeListLegacy[E any](s *Scheme[E], cts []*Ciphertext[E]) ([]byte, error) {
-	return EncodeListCodec(s, cts, CodecLegacy)
-}
-
-// EncodeListCodec serializes in the requested codec. Responders use it
-// to answer in the codec the request arrived in.
-func EncodeListCodec[E any](s *Scheme[E], cts []*Ciphertext[E], codec byte) ([]byte, error) {
-	switch codec {
-	case CodecLegacy:
-		var b wire.Builder
+	var b wire.Builder
+	comp := compressor(s)
+	if comp == nil {
 		b.AppendUint32(uint32(len(cts)))
 		for i, ct := range cts {
 			enc, err := s.Bytes(ct)
@@ -78,65 +52,47 @@ func EncodeListCodec[E any](s *Scheme[E], cts []*Ciphertext[E], codec byte) ([]b
 			b.AppendRaw(enc)
 		}
 		return b.Bytes(), nil
-	case CodecCompressed:
-		comp := compressor(s)
-		if comp == nil {
-			return nil, fmt.Errorf("hpske: group %s has no compressed codec", s.G.Name())
-		}
-		var b wire.Builder
-		b.AppendUint32(codecSentinel)
-		b.AppendRaw([]byte{CodecCompressed})
-		b.AppendUint32(uint32(len(cts)))
-		for i, ct := range cts {
-			if err := s.checkCT(ct); err != nil {
-				return nil, fmt.Errorf("hpske: encoding ciphertext %d: %w", i, err)
-			}
-			for _, c := range ct.Coins {
-				b.AppendRaw(comp.BytesCompressed(c))
-			}
-			b.AppendRaw(comp.BytesCompressed(ct.Payload))
-		}
-		return b.Bytes(), nil
-	default:
-		return nil, fmt.Errorf("hpske: unknown list codec %d", codec)
 	}
+	b.AppendUint32(codecSentinel)
+	b.AppendRaw([]byte{codecCompressed})
+	b.AppendUint32(uint32(len(cts)))
+	for i, ct := range cts {
+		if err := s.checkCT(ct); err != nil {
+			return nil, fmt.Errorf("hpske: encoding ciphertext %d: %w", i, err)
+		}
+		for _, c := range ct.Coins {
+			b.AppendRaw(comp.BytesCompressed(c))
+		}
+		b.AppendRaw(comp.BytesCompressed(ct.Payload))
+	}
+	return b.Bytes(), nil
 }
 
-// DecodeList parses a list serialized by any EncodeList codec,
-// enforcing an exact expected count.
+// DecodeList parses a list written by EncodeList for the same group,
+// enforcing an exact expected count and rejecting trailing bytes.
 func DecodeList[E any](s *Scheme[E], payload []byte, want int) ([]*Ciphertext[E], error) {
-	cts, _, err := DecodeListCodec(s, payload, want)
-	return cts, err
-}
-
-// DecodeListCodec parses a list and additionally reports which codec it
-// arrived in, so a responder can answer in kind.
-func DecodeListCodec[E any](s *Scheme[E], payload []byte, want int) ([]*Ciphertext[E], byte, error) {
 	p := wire.NewParser(payload)
-	n, err := p.Uint32()
-	if err != nil {
-		return nil, 0, err
+	comp := compressor(s)
+	if comp == nil {
+		return decodeListRaw(s, p, want)
 	}
-	if n != codecSentinel {
-		cts, err := decodeListLegacy(s, p, n, want)
-		return cts, CodecLegacy, err
+	sentinel, err := p.Uint32()
+	if err != nil {
+		return nil, err
 	}
 	codecRaw, err := p.Raw(1)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if codecRaw[0] != CodecCompressed {
-		return nil, 0, fmt.Errorf("hpske: unsupported list codec %d", codecRaw[0])
+	if sentinel != codecSentinel || codecRaw[0] != codecCompressed {
+		return nil, fmt.Errorf("hpske: %s list does not open with the compressed-list header", s.G.Name())
 	}
-	comp := compressor(s)
-	if comp == nil {
-		return nil, 0, fmt.Errorf("hpske: compressed list for group %s, which has no compressed codec", s.G.Name())
-	}
-	if n, err = p.Uint32(); err != nil {
-		return nil, 0, err
+	n, err := p.Uint32()
+	if err != nil {
+		return nil, err
 	}
 	if int(n) != want {
-		return nil, 0, fmt.Errorf("hpske: got %d ciphertexts, want %d", n, want)
+		return nil, fmt.Errorf("hpske: got %d ciphertexts, want %d", n, want)
 	}
 	el := comp.CompressedLen()
 	out := make([]*Ciphertext[E], n)
@@ -145,34 +101,38 @@ func DecodeListCodec[E any](s *Scheme[E], payload []byte, want int) ([]*Cipherte
 		for j := 0; j < s.Kappa; j++ {
 			raw, err := p.Raw(el)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			e, err := comp.FromBytesCompressed(raw)
 			if err != nil {
-				return nil, 0, fmt.Errorf("hpske: decoding ciphertext %d coin %d: %w", i, j, err)
+				return nil, fmt.Errorf("hpske: decoding ciphertext %d coin %d: %w", i, j, err)
 			}
 			ct.Coins[j] = e
 		}
 		raw, err := p.Raw(el)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		e, err := comp.FromBytesCompressed(raw)
 		if err != nil {
-			return nil, 0, fmt.Errorf("hpske: decoding ciphertext %d payload: %w", i, err)
+			return nil, fmt.Errorf("hpske: decoding ciphertext %d payload: %w", i, err)
 		}
 		ct.Payload = e
 		out[i] = ct
 	}
 	if !p.Done() {
-		return nil, 0, fmt.Errorf("hpske: %d trailing bytes in ciphertext list", p.Remaining())
+		return nil, fmt.Errorf("hpske: %d trailing bytes in ciphertext list", p.Remaining())
 	}
-	return out, CodecCompressed, nil
+	return out, nil
 }
 
-// decodeListLegacy parses the body of an uncompressed v1 list whose
-// count n has already been read.
-func decodeListLegacy[E any](s *Scheme[E], p *wire.Parser, n uint32, want int) ([]*Ciphertext[E], error) {
+// decodeListRaw parses a count ‖ raw list for a group without a
+// compact codec.
+func decodeListRaw[E any](s *Scheme[E], p *wire.Parser, want int) ([]*Ciphertext[E], error) {
+	n, err := p.Uint32()
+	if err != nil {
+		return nil, err
+	}
 	if int(n) != want {
 		return nil, fmt.Errorf("hpske: got %d ciphertexts, want %d", n, want)
 	}

@@ -42,12 +42,9 @@ func TestEncodeListCompressedRoundTrip(t *testing.T) {
 	if len(enc) != wantLen {
 		t.Fatalf("compressed list is %d bytes, want %d", len(enc), wantLen)
 	}
-	got, codec, err := DecodeListCodec(s, enc, len(cts))
+	got, err := DecodeList(s, enc, len(cts))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if codec != CodecCompressed {
-		t.Fatalf("codec = %d, want %d", codec, CodecCompressed)
 	}
 	for i := range cts {
 		if !s.G.Equal(got[i].Payload, cts[i].Payload) {
@@ -61,38 +58,8 @@ func TestEncodeListCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeListLegacyCompat(t *testing.T) {
-	s, _, cts := codecScheme(t)
-	legacy, err := EncodeListLegacy(s, cts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLen := 4 + len(cts)*(s.Kappa+1)*bn254.G2Bytes
-	if len(legacy) != wantLen {
-		t.Fatalf("legacy list is %d bytes, want %d", len(legacy), wantLen)
-	}
-	got, codec, err := DecodeListCodec(s, legacy, len(cts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codec != CodecLegacy {
-		t.Fatalf("codec = %d, want %d", codec, CodecLegacy)
-	}
-	for i := range cts {
-		if !s.G.Equal(got[i].Payload, cts[i].Payload) {
-			t.Fatalf("ciphertext %d payload changed", i)
-		}
-	}
-	// Echoing the detected codec must reproduce the legacy bytes.
-	echo, err := EncodeListCodec(s, got, codec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(echo, legacy) {
-		t.Fatal("legacy echo is not byte-identical")
-	}
-}
-
+// TestEncodeListGTStaysLegacy checks that GT, which has no compact
+// codec, keeps the count ‖ raw layout byte for byte.
 func TestEncodeListGTStaysLegacy(t *testing.T) {
 	s, err := New[*bn254.GT](group.GT{}, 2)
 	if err != nil {
@@ -114,15 +81,16 @@ func TestEncodeListGTStaysLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := EncodeListLegacy(s, []*Ciphertext[*bn254.GT]{ct})
+	raw, err := s.Bytes(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
+	legacy := append([]byte{0, 0, 0, 1}, raw...)
 	if !bytes.Equal(enc, legacy) {
-		t.Fatal("GT list encoding is not byte-identical to the legacy format")
+		t.Fatal("GT list encoding is not count ‖ raw")
 	}
-	if _, codec, err := DecodeListCodec(s, enc, 1); err != nil || codec != CodecLegacy {
-		t.Fatalf("GT decode: codec=%d err=%v", codec, err)
+	if _, err := DecodeList(s, enc, 1); err != nil {
+		t.Fatalf("GT decode: %v", err)
 	}
 }
 

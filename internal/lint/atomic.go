@@ -27,7 +27,7 @@ var AtomicDiscipline = &Analyzer{
 // Matching is by package name (not path) so golden copies of the
 // packages are checked identically.
 var requiredAtomic = []struct{ pkg, typ, field string }{
-	{"dlr", "P1", "epoch"},     // rotation counter read by every cache probe
+	{"dlr", "P1", "epoch"},     // rotation counter read by gauges and staging
 	{"dlr", "P1", "batchTabs"}, // lock-free published batch-table snapshot
 }
 

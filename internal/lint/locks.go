@@ -114,7 +114,7 @@ func intersectHeld(sets []map[string]lockState) map[string]lockState {
 }
 
 // muBase returns the mutex field/var name of a held-set key
-// ("ss.wmu" → "wmu", "cachesMu" → "cachesMu").
+// ("ss.wmu" → "wmu", "refreshMu" → "refreshMu").
 func muBase(key string) string {
 	if i := strings.LastIndex(key, "."); i >= 0 {
 		return key[i+1:]

@@ -16,8 +16,8 @@ import (
 // wobble, by at most the basis-entry magnitude (see the Decompose doc:
 // correctness never depends on the rounding, only size does). The
 // result is a GLV/GLS split that performs zero heap allocations, which
-// is what lets the fast scalar-multiplication tiers beat — rather than
-// trail — the plain wNAF tier on allocations.
+// is what keeps bn254's endomorphism scalar multiplications
+// allocation-free.
 
 // SubScalar is one signed sub-scalar of a lattice decomposition, in
 // sign-magnitude form: value = (−1)^Neg · V (V little-endian limbs).
@@ -56,8 +56,8 @@ func (s *SubScalar) Big() *big.Int {
 
 // lattLimbs is the per-lattice precomputed fixed-point data. ok is
 // false when some quantity did not fit its fixed width (a pathological
-// basis); DecomposeInto then reports failure and callers fall back to
-// the big.Int Decompose.
+// basis); DecomposeInto then reports failure. Generic callers can use
+// the big.Int Decompose instead; bn254 refuses such a lattice at init.
 type lattLimbs struct {
 	ok bool
 	// g[i] = round(2²⁵⁶·|cof0[i]|/|det|) < 2²⁵⁶, gNeg[i] the sign of
@@ -143,9 +143,8 @@ func buildLattLimbs(l *Lattice) *lattLimbs {
 // signedAcc is a sign-magnitude accumulator wide enough for every
 // intermediate the recomposition produces: buildLattLimbs admits a
 // lattice only when every cᵢ·bᵢⱼ fits 320 bits (BN254's worst case is
-// GLS at ≈ 2²⁶⁵), and DecomposeInto reports failure — triggering the
-// big.Int fallback — rather than wrapping if a sub-scalar still
-// overflows.
+// GLS at ≈ 2²⁶⁵), and DecomposeInto reports failure rather than
+// wrapping if a sub-scalar still overflows.
 type signedAcc struct {
 	neg bool
 	mag [5]uint64
@@ -253,8 +252,9 @@ func (l *Lattice) LimbReady() bool { return l.limb != nil && l.limb.ok }
 // mod) into len(out) = Dim() signed sub-scalars with
 // e ≡ Σ out[j]·μʲ (mod mod). It reports false — leaving out undefined —
 // when the lattice's fixed-point data did not fit (LimbReady false) or
-// a sub-scalar overflowed four limbs; callers then fall back to
-// Decompose. The recomposition is exact, so the result is valid for
+// a sub-scalar overflowed four limbs; generic callers can then use
+// Decompose (bn254 treats a failure on its production lattices as a
+// broken invariant and panics). The recomposition is exact, so the result is valid for
 // any rounding of the Babai coefficients (the fixed-point cᵢ may
 // differ from Decompose's by one, and the sub-scalars by one basis
 // entry — both paths satisfy the recomposition identity the

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/cache"
 )
 
 // Metrics aggregates the serving-path counters the operator guide
@@ -79,7 +77,7 @@ var globalMetrics = newMetrics(nil)
 func init() {
 	expvar.Publish("dlrserver", expvar.Func(func() any {
 		s := globalMetrics.Snapshot()
-		v := map[string]any{
+		return map[string]any{
 			"requests":       s.Requests,
 			"responses":      s.Responses,
 			"rejected":       s.Rejected,
@@ -101,55 +99,7 @@ func init() {
 			"rotation_stall_mean_us":   s.RotationStallMean.Microseconds(),
 			"rotation_rebuild_mean_us": s.RotationRebuildMean.Microseconds(),
 		}
-		cs, n := cacheSnapshot()
-		v["cache_hits"] = cs.Hits
-		v["cache_misses"] = cs.Misses
-		v["cache_evictions"] = cs.Evictions
-		v["cache_len"] = n
-		if lookups := cs.Hits + cs.Misses; lookups > 0 {
-			v["cache_hit_rate"] = float64(cs.Hits) / float64(lookups)
-		} else {
-			v["cache_hit_rate"] = 0.0
-		}
-		return v
 	}))
-}
-
-// The table-cache registry: every Server-owned cache.Cache registers
-// here so the expvar view aggregates hit/miss/eviction counters across
-// all live servers in the process, mirroring how Metrics aggregates the
-// serving-path counters.
-var (
-	cachesMu sync.Mutex
-	caches   = make(map[*cache.Cache]struct{})
-)
-
-func registerCache(c *cache.Cache) {
-	cachesMu.Lock()
-	caches[c] = struct{}{}
-	cachesMu.Unlock()
-}
-
-func unregisterCache(c *cache.Cache) {
-	cachesMu.Lock()
-	delete(caches, c)
-	cachesMu.Unlock()
-}
-
-// cacheSnapshot sums Stats and Len over the registered caches.
-func cacheSnapshot() (cache.Stats, int) {
-	cachesMu.Lock()
-	defer cachesMu.Unlock()
-	var agg cache.Stats
-	n := 0
-	for c := range caches {
-		st := c.Stats()
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Evictions += st.Evictions
-		n += c.Len()
-	}
-	return agg, n
 }
 
 // recordInbound notes frames received from clients and their on-wire
@@ -254,8 +204,9 @@ type Snapshot struct {
 	MeanOccupancy float64
 	// BatchHist maps window occupancy to how many windows closed at it.
 	BatchHist map[int]uint64
-	// P50 and P99 are queue-to-response latency percentiles over the
-	// most recent latRingSize responses.
+	// P50 and P99 are nearest-rank queue-to-response latency
+	// percentiles over the most recent latRingSize responses, so
+	// P50 ≤ P99 at every sample count.
 	P50, P99 time.Duration
 	// RotationsPrewarmed and RotationsCold count completed rotations by
 	// path; the stall and rebuild gauges aggregate over both.
@@ -302,8 +253,14 @@ func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Unlock()
 	if len(lats) > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		s.P50 = lats[len(lats)/2]
-		s.P99 = lats[(len(lats)-1)*99/100]
+		s.P50 = lats[nearestRank(len(lats), 50)]
+		s.P99 = lats[nearestRank(len(lats), 99)]
 	}
 	return s
+}
+
+// nearestRank returns the index of the pct-th percentile in n sorted
+// samples by the nearest-rank rule: the ⌈pct·n/100⌉-th smallest.
+func nearestRank(n, pct int) int {
+	return (pct*n+99)/100 - 1
 }

@@ -17,7 +17,7 @@ import (
 // plaintext must be correct even when its window raced a commit.
 func TestRotationStorm(t *testing.T) {
 	pk, p1, p2 := testInstance(t)
-	s := server.New(server.Config{BatchSize: 4, Window: time.Millisecond, CacheCap: 16})
+	s := server.New(server.Config{BatchSize: 4, Window: time.Millisecond})
 	if err := s.RegisterLocal("alice", p1, p2); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,6 @@ func TestRotationScheduler(t *testing.T) {
 	s := server.New(server.Config{
 		BatchSize:    4,
 		Window:       time.Millisecond,
-		CacheCap:     16,
 		RefreshEvery: 5 * time.Millisecond,
 	})
 	if err := s.RegisterLocal("alice", p1, p2); err != nil {

@@ -18,7 +18,7 @@
 //	device channel to P2 ──► results fan back to their sessions,
 //	                         out of order, routed by request id
 //
-// Windows are per-tenant so the epoch-keyed table cache stays hot
+// Windows are per-tenant so the tenant's batch session stays warm
 // across windows of one share state, and so a share refresh quiesces
 // exactly one tenant's window while every other tenant keeps serving.
 package server
@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/bn254"
-	"repro/internal/cache"
 	"repro/internal/device"
 	"repro/internal/dlr"
 	"repro/internal/storage"
@@ -67,8 +66,8 @@ type Config struct {
 	BatchSize int
 	// Window closes a non-full window this long after its first
 	// request arrived — the latency bound a lone request pays for the
-	// chance of amortization. Default 2ms. Zero or negative drains
-	// eagerly: a window takes only what is already queued.
+	// chance of amortization. Zero means the default, 2ms; a negative
+	// value drains eagerly: a window takes only what is already queued.
 	Window time.Duration
 	// QueueDepth bounds each tenant's request queue; a request
 	// arriving at a full queue is rejected with KindBusy rather than
@@ -76,11 +75,6 @@ type Config struct {
 	QueueDepth int
 	// RetryAfter is the backoff hint sent with KindBusy. Default 2ms.
 	RetryAfter time.Duration
-	// CacheCap, when positive, attaches a shared rotation-aware table
-	// cache (internal/cache) of that capacity to every registered
-	// tenant's P1, so consecutive windows of one epoch replay the same
-	// pairing tables.
-	CacheCap int
 	// Serial bypasses the batch windows and serves every request
 	// through the per-request protocol (dlr.RunDec, one round trip per
 	// request) — the pre-batching baseline the E16 experiment measures
@@ -174,10 +168,9 @@ type tenant struct {
 //
 //dlr:lock-order mu refreshMu intakeMu wmu
 type Server struct {
-	cfg      Config
-	metrics  *Metrics
-	tenants  *storage.Striped[*tenant]
-	tabCache *cache.Cache
+	cfg     Config
+	metrics *Metrics
+	tenants *storage.Striped[*tenant]
 
 	// intakeMu orders request intake against shutdown: enqueues hold
 	// the read side, the drain flag flips under the write side, so no
@@ -202,18 +195,13 @@ type Server struct {
 // New returns a Server with the given configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	return &Server{
 		cfg:     cfg,
 		metrics: newMetrics(globalMetrics),
 		tenants: storage.NewStriped[*tenant](),
 		lns:     make(map[net.Listener]struct{}),
 		conns:   make(map[net.Conn]struct{}),
 	}
-	if cfg.CacheCap > 0 {
-		s.tabCache = cache.New(cfg.CacheCap)
-		registerCache(s.tabCache)
-	}
-	return s
 }
 
 // Metrics returns the server's serving-path counters.
@@ -243,9 +231,6 @@ func (s *Server) RegisterTenant(name string, p1 *dlr.P1, dev device.Channel, clo
 	}
 	if _, stored := s.tenants.PutIfAbsent(name, t); !stored {
 		return fmt.Errorf("server: tenant %q already registered", name)
-	}
-	if s.tabCache != nil {
-		p1.AttachCache(s.tabCache, name)
 	}
 	s.loopWG.Add(1)
 	go s.windowLoop(t)
@@ -479,10 +464,6 @@ func (s *Server) Shutdown() {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-
-	if s.tabCache != nil {
-		unregisterCache(s.tabCache)
-	}
 }
 
 // session is one client connection: a read loop plus a write mutex so

@@ -87,7 +87,7 @@ func encryptN(t *testing.T, pk *dlr.PublicKey, n int) ([]*bn254.GT, []*dlr.Ciphe
 // the right callers.
 func TestServerRoundTrip(t *testing.T) {
 	pk, p1, p2 := testInstance(t)
-	s := server.New(server.Config{BatchSize: 8, Window: 20 * time.Millisecond, CacheCap: 8})
+	s := server.New(server.Config{BatchSize: 8, Window: 20 * time.Millisecond})
 	if err := s.RegisterLocal("alice", p1, p2); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestServerBackpressure(t *testing.T) {
 // once for the period rotation.
 func TestServerRefreshUnderTraffic(t *testing.T) {
 	pk, p1, p2 := testInstance(t)
-	s := server.New(server.Config{BatchSize: 4, Window: 5 * time.Millisecond, CacheCap: 8})
+	s := server.New(server.Config{BatchSize: 4, Window: 5 * time.Millisecond})
 	if err := s.RegisterLocal("alice", p1, p2); err != nil {
 		t.Fatal(err)
 	}
