@@ -26,11 +26,12 @@ race:
 	$(GO) test -race ./...
 
 # race-par is the focused race pass over the packages that fan work
-# out across goroutines (chunk-parallel primitives, the
-# batched-decryption pipeline). A subset of `race` — useful while
-# iterating on parallel code without paying for the full suite.
+# out across goroutines (the fan-out helpers, the chunked
+# multi-pairings, the batched-decryption pipeline). A subset of `race`
+# — useful while iterating on parallel code without paying for the
+# full suite.
 race-par:
-	$(GO) test -race -count=1 ./internal/par ./internal/ff ./internal/bn254 ./internal/dlr
+	$(GO) test -race -count=1 ./internal/par ./internal/bn254 ./internal/dlr
 
 # race-server is the focused race pass over the serving stack: the
 # batch-window server, the mux framing under it, the striped tenant
@@ -40,9 +41,9 @@ race-server:
 	$(GO) test -race -count=1 ./internal/server ./internal/wire ./internal/storage ./internal/dlr
 
 # race-rotation is the rotation race gate: the rotation storm and
-# scheduler tests and the cold/pipelined epoch-invalidation tests
-# (race-server's broader sweep spends most of its time on protocol
-# tests). Run while iterating on rotation code.
+# scheduler tests and the epoch-invalidation tests of the pipelined
+# rotation (race-server's broader sweep spends most of its time on
+# protocol tests). Run while iterating on rotation code.
 race-rotation:
 	$(GO) test -race -count=1 -run 'TestRotation|TestServerRefresh' ./internal/server ./internal/dlr
 

@@ -20,7 +20,7 @@
 //	                                    # rotation-under-load sweep: the
 //	                                    # RefreshEvery scheduler rotates on
 //	                                    # each cadence while closed-loop
-//	                                    # clients decrypt, cold vs pipelined
+//	                                    # clients decrypt
 //
 // -cpuprofile and -memprofile write pprof profiles of whichever mode
 // runs, for digging into the hot loops the E13/E15 numbers summarize.
@@ -71,7 +71,7 @@ func main() {
 		batchSize  = flag.Int("batch", 16, "requests per RunDecBatch call in -pipeline")
 		tenants    = flag.Int("tenants", 1, "independent DLR instances the -pipeline request stream round-robins over")
 		srv        = flag.Bool("server", false, "drive the batch-window decrypt server with concurrent single-request TCP clients, serial vs windows")
-		rotate     = flag.Bool("rotate", false, "drive the server under sustained load while the rotation scheduler refreshes on each -cadences entry, cold vs pipelined")
+		rotate     = flag.Bool("rotate", false, "drive the server under sustained load while the rotation scheduler refreshes on each -cadences entry")
 		cadences   = flag.String("cadences", "100ms,30ms", "comma-separated rotation cadences for -rotate")
 		clients    = flag.String("clients", "1,8,32", "comma-separated concurrent-client counts for -server")
 		perClient  = flag.Int("perclient", 2, "requests each -server client issues (closed-loop)")
@@ -207,8 +207,7 @@ func runServer(clients string, perClient int) error {
 
 // runRotate sweeps rotation-under-load: for each cadence the server's
 // RefreshEvery scheduler rotates the tenant while closed-loop clients
-// decrypt, once through the cold rotation path and once pipelined. The
-// steady (no-rotation) reference prints first.
+// decrypt. The steady (no-rotation) reference prints first.
 func runRotate(cadences, clients string, perClient int) error {
 	n := 8
 	if fields := strings.Split(clients, ","); len(fields) > 0 {
@@ -218,31 +217,30 @@ func runRotate(cadences, clients string, perClient int) error {
 		}
 		n = v
 	}
-	fmt.Printf("rotation under load: %d clients x %d requests, closed-loop over TCP\n", n, perClient)
-	fmt.Printf("%-12s  %-10s  %10s  %12s  %12s  %10s  %12s\n",
-		"cadence", "mode", "req/s", "p50", "p99", "rotations", "mean stall")
-	steady, err := bench.E17ServerRun(0, false, n, perClient)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-12s  %-10s  %10.1f  %12s  %12s  %10s  %12s\n",
-		"none", "steady", steady.ReqPerSec,
-		steady.P50.Round(time.Microsecond), steady.P99.Round(time.Microsecond), "—", "—")
+	sweep := []time.Duration{0}
 	for _, field := range strings.Split(cadences, ",") {
 		cadence, err := time.ParseDuration(strings.TrimSpace(field))
 		if err != nil {
 			return fmt.Errorf("rotate: bad -cadences entry %q: %w", field, err)
 		}
-		for _, cold := range []bool{true, false} {
-			pt, err := bench.E17ServerRun(cadence, cold, n, perClient)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-12s  %-10s  %10.1f  %12s  %12s  %10d  %12s\n",
-				cadence, pt.Mode, pt.ReqPerSec,
-				pt.P50.Round(time.Microsecond), pt.P99.Round(time.Microsecond),
-				pt.Rotations, pt.StallMean.Round(time.Microsecond))
+		sweep = append(sweep, cadence)
+	}
+	fmt.Printf("rotation under load: %d clients x %d requests, closed-loop over TCP\n", n, perClient)
+	fmt.Printf("%-12s  %10s  %12s  %12s  %10s  %12s\n",
+		"cadence", "req/s", "p50", "p99", "rotations", "mean stall")
+	for _, cadence := range sweep {
+		pt, err := bench.E17ServerRun(cadence, n, perClient)
+		if err != nil {
+			return err
 		}
+		label := "none"
+		if cadence > 0 {
+			label = cadence.String()
+		}
+		fmt.Printf("%-12s  %10.1f  %12s  %12s  %10d  %12s\n",
+			label, pt.ReqPerSec,
+			pt.P50.Round(time.Microsecond), pt.P99.Round(time.Microsecond),
+			pt.Rotations, pt.StallMean.Round(time.Microsecond))
 	}
 	return nil
 }
@@ -251,11 +249,11 @@ func runRotate(cadences, clients string, perClient int) error {
 // (GLV/GLS vs reference ladder, multi-pairing, transport), the E12 set
 // (pairing tables vs cold Miller loops), the E13 set (Pippenger vs
 // Straus, lazy tower vs reducing twins, batched vs per-request
-// decryption), the E15 set (chunk-parallel primitives vs their serial
-// paths), the E16 server row (serial vs batch-window amortized
+// decryption), the E15 set (chunked MultiPair/PairBatch vs their
+// serial lockstep loops), the E16 server row (serial vs batch-window amortized
 // per-request cost at 32 concurrent clients), the E17 rotation rows
-// (cold vs prewarmed first-post-rotation batch, full cold rotation vs
-// commit-only stall) and the E18 wire rows (pooled framing, compressed
+// (reference RunRef + BeginPeriod vs pipelined: first post-rotation
+// batch, serving stall) and the E18 wire rows (pooled framing, compressed
 // list encoding).
 func allMeasurements() ([]bench.FastPathMeasurement, error) {
 	meas, err := bench.FastPathMeasurements()

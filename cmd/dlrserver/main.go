@@ -21,8 +21,7 @@
 // -refresh-every rotates every tenant's shares on that cadence through
 // the pipelined zero-stall path (next-epoch tables prewarmed while
 // serving continues; see docs/PERFORMANCE.md, "Rotation cadence
-// sizing"); -cold-refresh reverts to the serialized rotation that
-// stalls the tenant for the whole rebuild — the E17 comparison point.
+// sizing").
 // Serving metrics are published under expvar key "dlrserver"; set
 // -debug to serve /debug/vars on a second listener. SIGINT/SIGTERM
 // drain in-flight windows before exit — queued requests are answered,
@@ -59,7 +58,6 @@ func main() {
 		queue      = flag.Int("queue", 0, "request queue depth before busy rejections (0 = 4×batch)")
 		serial     = flag.Bool("serial", false, "serve one request per round trip (no windows) — the E16 baseline")
 		refresh    = flag.Duration("refresh-every", 0, "rotate every tenant's shares on this cadence (0 = only on client request)")
-		coldRef    = flag.Bool("cold-refresh", false, "use the serialized (non-pipelined) rotation path — the E17 baseline")
 		debugAddr  = flag.String("debug", "", "serve /debug/vars (expvar metrics) on this address")
 	)
 	flag.Parse()
@@ -73,14 +71,9 @@ func main() {
 		QueueDepth:   *queue,
 		Serial:       *serial,
 		RefreshEvery: *refresh,
-		ColdRefresh:  *coldRef,
 	})
 	if *refresh > 0 {
-		rotMode := "pipelined"
-		if *coldRef {
-			rotMode = "cold"
-		}
-		log.Printf("rotation scheduler: every %s (%s path)", *refresh, rotMode)
+		log.Printf("rotation scheduler: every %s", *refresh)
 	}
 
 	switch {
@@ -145,9 +138,9 @@ func main() {
 	snap := s.Metrics().Snapshot()
 	log.Printf("stopped: %d requests in %d windows (mean occupancy %.1f), %d rejected, %d refreshes",
 		snap.Requests, snap.Windows, snap.MeanOccupancy, snap.Rejected, snap.Refreshes)
-	if n := snap.RotationsPrewarmed + snap.RotationsCold; n > 0 {
-		log.Printf("rotations: %d prewarmed, %d cold, mean serving stall %s (last %s)",
-			snap.RotationsPrewarmed, snap.RotationsCold, snap.RotationStallMean, snap.RotationStallLast)
+	if n := snap.RotationsPrewarmed; n > 0 {
+		log.Printf("rotations: %d prewarmed, mean serving stall %s (last %s)",
+			n, snap.RotationStallMean, snap.RotationStallLast)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 )
 
 // E17 measures zero-stall rotation: what an epoch boundary costs with
-// the cold path (RunRef + BeginPeriod serialized against serving,
-// every table rebuilt by the first post-rotation batch) against the
+// the paper's reference refresh (RunRef + BeginPeriod serialized
+// against serving, every table rebuilt by the first post-rotation
+// batch — the "cold" column) against the
 // pipelined path (next-epoch state staged and tables prewarmed
 // concurrently with serving, only the commit round trip on the
 // serving loop). Two layers are measured:
@@ -24,8 +25,9 @@ import (
 //     steady-state warm batch, and the rotation's serving stall (full
 //     cold rotation vs commit-only).
 //   - server layer: sustained closed-loop load over TCP while the
-//     RefreshEvery scheduler rotates on a cadence — the p99 across
-//     epoch boundaries and the per-rotation stall gauges.
+//     RefreshEvery scheduler rotates (always pipelined) on a cadence —
+//     the p99 across epoch boundaries and the per-rotation stall
+//     gauges.
 //
 // Acceptance criterion: the prewarmed first-post-rotation batch lands
 // within 25% of steady state, where the cold path spikes by a
@@ -162,7 +164,6 @@ func E17RotationPoint() (*RotationPoint, error) {
 
 // RotationServerPoint is one server-level rotation-under-load run.
 type RotationServerPoint struct {
-	Mode      string // "pipelined" or "cold"
 	Cadence   time.Duration
 	Requests  int
 	ReqPerSec float64
@@ -174,10 +175,9 @@ type RotationServerPoint struct {
 // E17ServerRun drives sustained closed-loop load against a
 // batch-window server whose RefreshEvery scheduler rotates the tenant
 // on the given cadence, and reports the latency the clients saw across
-// the epoch boundaries together with the rotation gauges. cold selects
-// the serialized rotation path. A zero cadence disables rotation — the
-// steady-state reference.
-func E17ServerRun(cadence time.Duration, cold bool, clients, perClient int) (*RotationServerPoint, error) {
+// the epoch boundaries together with the rotation gauges. A zero
+// cadence disables rotation — the steady-state reference.
+func E17ServerRun(cadence time.Duration, clients, perClient int) (*RotationServerPoint, error) {
 	pk, p1, p2, err := dlr.Gen(rand.Reader, e13Params())
 	if err != nil {
 		return nil, err
@@ -186,7 +186,6 @@ func E17ServerRun(cadence time.Duration, cold bool, clients, perClient int) (*Ro
 		BatchSize:    8,
 		Window:       2 * time.Millisecond,
 		RefreshEvery: cadence,
-		ColdRefresh:  cold,
 	})
 	if err := s.RegisterLocal("e17", p1, p2); err != nil {
 		return nil, err
@@ -254,19 +253,14 @@ func E17ServerRun(cadence time.Duration, cold bool, clients, perClient int) (*Ro
 		return nil, firstErr
 	}
 
-	mode := "pipelined"
-	if cold {
-		mode = "cold"
-	}
 	snap := s.Metrics().Snapshot()
 	return &RotationServerPoint{
-		Mode:      mode,
 		Cadence:   cadence,
 		Requests:  total,
 		ReqPerSec: float64(total) / wall.Seconds(),
 		P50:       snap.P50,
 		P99:       snap.P99,
-		Rotations: snap.RotationsPrewarmed + snap.RotationsCold,
+		Rotations: snap.RotationsPrewarmed,
 		StallMean: snap.RotationStallMean,
 	}, nil
 }
@@ -333,9 +327,9 @@ func E17Rotation() (*Table, error) {
 	)
 
 	// Server-level: rotation under sustained load, steady reference
-	// then both paths at two cadences.
+	// then two cadences.
 	const clients, perClient = 8, 8
-	ref, err := E17ServerRun(0, false, clients, perClient)
+	ref, err := E17ServerRun(0, clients, perClient)
 	if err != nil {
 		return nil, err
 	}
@@ -343,15 +337,13 @@ func E17Rotation() (*Table, error) {
 		"server steady (no rotation): %.1f req/s, p50 %s, p99 %s (%d clients)",
 		ref.ReqPerSec, ms(ref.P50), ms(ref.P99), clients))
 	for _, cadence := range []time.Duration{100 * time.Millisecond, 30 * time.Millisecond} {
-		for _, cold := range []bool{true, false} {
-			pt, err := E17ServerRun(cadence, cold, clients, perClient)
-			if err != nil {
-				return nil, err
-			}
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"server rotate-every %s (%s): %.1f req/s, p99 %s, %d rotation(s), mean stall %s",
-				cadence, pt.Mode, pt.ReqPerSec, ms(pt.P99), pt.Rotations, ms(pt.StallMean)))
+		pt, err := E17ServerRun(cadence, clients, perClient)
+		if err != nil {
+			return nil, err
 		}
+		t.Notes = append(t.Notes, fmt.Sprintf(
+			"server rotate-every %s: %.1f req/s, p99 %s, %d rotation(s), mean stall %s",
+			cadence, pt.ReqPerSec, ms(pt.P99), pt.Rotations, ms(pt.StallMean)))
 	}
 	return t, nil
 }

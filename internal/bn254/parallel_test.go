@@ -5,52 +5,12 @@ import (
 	"testing"
 )
 
-// Differential tests for the chunk-parallel primitive paths. The host
+// Differential tests for the chunk-parallel multi-pairings. The host
 // running CI may have a single CPU, so each test raises GOMAXPROCS
-// above the core count: par.Workers() reads GOMAXPROCS, the parallel
+// above the core count: par.Chunks reads GOMAXPROCS, the chunked
 // branches trigger, and the goroutines interleave on however many
 // cores exist — which is exactly what `make race` needs to observe.
-// The serial reference is obtained by pinning GOMAXPROCS(1), which
-// routes the very same call through the serial globally scheduled
-// path.
-
-// pippengerParTestPoints is sized so the post-GLV/GLS split base
-// count clears pippengerParMinBases for both groups: 300 G1 points
-// split 2-way into 600 bases, 150 G2 points split 4-way into 600.
-const (
-	pippengerParTestG1 = 300
-	pippengerParTestG2 = 150
-)
-
-func TestPippengerParallelMatchesSerialG1(t *testing.T) {
-	pts, es := randG1Set(t, pippengerParTestG1)
-
-	old := runtime.GOMAXPROCS(1)
-	want := G1MultiExpPippenger(pts, es)
-	runtime.GOMAXPROCS(4)
-	got := G1MultiExpPippenger(pts, es)
-	runtime.GOMAXPROCS(old)
-
-	if !got.Equal(want) {
-		t.Fatalf("n=%d: window-parallel Pippenger diverged from serial: %v != %v",
-			pippengerParTestG1, got, want)
-	}
-}
-
-func TestPippengerParallelMatchesSerialG2(t *testing.T) {
-	pts, es := randG2Set(t, pippengerParTestG2)
-
-	old := runtime.GOMAXPROCS(1)
-	want := G2MultiExpPippenger(pts, es)
-	runtime.GOMAXPROCS(4)
-	got := G2MultiExpPippenger(pts, es)
-	runtime.GOMAXPROCS(old)
-
-	if !got.Equal(want) {
-		t.Fatalf("n=%d: window-parallel Pippenger diverged from serial: %v != %v",
-			pippengerParTestG2, got, want)
-	}
-}
+// The reference is a loop of independent Pair calls.
 
 // TestMultiPairParallelMatchesPairs checks the chunked MultiPair — 12
 // pairs splits into 3 lockstep chunks at multiPairParMinChunk=4 —

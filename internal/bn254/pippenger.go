@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/ff"
-	"repro/internal/par"
 	"repro/internal/scalar"
 )
 
@@ -256,9 +255,7 @@ func g1BucketAccumulate(buckets []G1, points []G1, ops []bucketOp, scratch *buck
 		}
 		if len(dens) > 0 {
 			invs := fpSlice(&scratch.invs, len(dens))
-			// Chunk-parallel above ~512 pending additions, the serial
-			// noalloc path below (ff.BatchInverseFpPar dispatches).
-			ff.BatchInverseFpPar(invs, dens, fpSlice(&scratch.prefx, len(dens)))
+			ff.BatchInverseFpInto(invs, dens, fpSlice(&scratch.prefx, len(dens)))
 			for k, op := range apply {
 				dst, pt := &buckets[op.bucket], &points[op.pt]
 				var lam, x3, y3 ff.Fp
@@ -329,7 +326,7 @@ func g2BucketAccumulate(buckets []G2, points []G2, ops []bucketOp, scratch *buck
 		}
 		if len(dens2) > 0 {
 			invs := fp2Slice(&scratch.invs2, len(dens2))
-			ff.BatchInverseFp2Par(invs, dens2, fp2Slice(&scratch.prefx2, len(dens2)))
+			ff.BatchInverseFp2Into(invs, dens2, fp2Slice(&scratch.prefx2, len(dens2)))
 			for k, op := range apply {
 				dst, pt := &buckets[op.bucket], &points[op.pt]
 				var lam, x3, y3, t ff.Fp2
@@ -425,12 +422,6 @@ func g1MultiExpPippengerLimbs(acc *g1Jac, pts []G1, es [][4]uint64, ar *pippenge
 		points[n+i].Neg(&pts[i])
 	}
 	nb := 1 << (c - 1)
-	// Large instances fan the windows out across cores (see
-	// pippenger_par.go); points/digits stay arena-owned and read-only.
-	if n >= pippengerParMinBases && par.Workers() > 1 && windows >= 2*pippengerParMinWindowChunk {
-		g1PippengerWindowsPar(acc, points, digits, n, c, windows, nb)
-		return
-	}
 	buckets := g1Slice(&ar.g1Buckets, windows*nb)
 	for i := range buckets {
 		buckets[i].SetInfinity()
@@ -491,10 +482,6 @@ func g2MultiExpPippengerLimbs(acc *g2Jac, pts []G2, es [][4]uint64, ar *pippenge
 		points[n+i].Neg(&pts[i])
 	}
 	nb := 1 << (c - 1)
-	if n >= pippengerParMinBases && par.Workers() > 1 && windows >= 2*pippengerParMinWindowChunk {
-		g2PippengerWindowsPar(acc, points, digits, n, c, windows, nb)
-		return
-	}
 	buckets := g2Slice(&ar.g2Buckets, windows*nb)
 	for i := range buckets {
 		buckets[i].SetInfinity()

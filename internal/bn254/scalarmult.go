@@ -245,6 +245,38 @@ const (
 	fbTableSize  = 1<<fbWindowBits - 1 // 15
 )
 
+// g1FixedBaseRows fills jacs (fbWindows rows of fbTableSize Jacobian
+// multiples) with the serial chain: row d of window w holds
+// (d+1)·2^(4w)·base, and the next window's base is recovered from row
+// 7 (8·base) with one doubling.
+func g1FixedBaseRows(jacs []g1Jac, base g1Jac) {
+	for w := 0; w < fbWindows; w++ {
+		row := jacs[w*fbTableSize:]
+		row[0] = base
+		for d := 1; d < fbTableSize; d++ {
+			row[d] = row[d-1]
+			row[d].add(&base)
+		}
+		// Next window base: 16·base = 2·(8·base).
+		base = row[7]
+		base.double()
+	}
+}
+
+// g2FixedBaseRows is g1FixedBaseRows on the twist.
+func g2FixedBaseRows(jacs []g2Jac, base g2Jac) {
+	for w := 0; w < fbWindows; w++ {
+		row := jacs[w*fbTableSize:]
+		row[0] = base
+		for d := 1; d < fbTableSize; d++ {
+			row[d] = row[d-1]
+			row[d].add(&base)
+		}
+		base = row[7]
+		base.double()
+	}
+}
+
 var g1FixedBase = struct {
 	once sync.Once
 	tbl  [fbWindows][fbTableSize]G1

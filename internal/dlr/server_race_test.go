@@ -33,33 +33,17 @@ func serverRaceSetup(t *testing.T) (*dlr.PublicKey, *dlr.P1, *dlr.P2) {
 // TestServerRefreshEpochInvalidatesTables alternates batches of
 // concurrent client decrypts with share refreshes and asserts, via
 // P1's batch session, that no post-rotation window can replay a
-// pre-rotation table: each rotation bumps the epoch and replaces the
-// session. The two rotation paths differ in what the first
-// post-rotation window then finds — the cold path has dropped the
-// session and rebuilds it, the pipelined path installed the next
-// epoch's session at commit — and both expectations are pinned here,
-// along with correct decrypts after every rotation.
+// pre-rotation table: each rotation bumps the epoch by one and
+// installs the next epoch's session at commit, so the first
+// post-rotation window starts warm. Correct decrypts are pinned after
+// every rotation.
 func TestServerRefreshEpochInvalidatesTables(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		cold      bool
-		epochStep uint64
-	}{
-		// Cold: +1 share refresh, +1 period rotation, tables rebuilt by
-		// the first post-rotation window.
-		{name: "cold", cold: true, epochStep: 2},
-		// Pipelined: one fused bump, tables prewarmed at commit.
-		{name: "pipelined", cold: false, epochStep: 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			testServerRefreshEpochInvalidatesTables(t, tc.cold, tc.epochStep)
-		})
-	}
+	t.Run("pipelined", testServerRefreshEpochInvalidatesTables)
 }
 
-func testServerRefreshEpochInvalidatesTables(t *testing.T, cold bool, epochStep uint64) {
+func testServerRefreshEpochInvalidatesTables(t *testing.T) {
 	pk, p1, p2 := serverRaceSetup(t)
-	s := server.New(server.Config{BatchSize: 4, Window: 5 * time.Millisecond, ColdRefresh: cold})
+	s := server.New(server.Config{BatchSize: 4, Window: 5 * time.Millisecond})
 	if err := s.RegisterLocal("alice", p1, p2); err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +106,14 @@ func testServerRefreshEpochInvalidatesTables(t *testing.T, cold bool, epochStep 
 		if err != nil {
 			t.Fatalf("refresh %d: %v", r, err)
 		}
-		if newEpoch != epoch+epochStep {
-			t.Fatalf("refresh %d: epoch = %d, want %d", r, newEpoch, epoch+epochStep)
+		if newEpoch != epoch+1 {
+			t.Fatalf("refresh %d: epoch = %d, want %d", r, newEpoch, epoch+1)
 		}
 		epoch = newEpoch
 		// The window loop is idle between rounds, so the session seen
 		// here is the one the next window starts from.
-		if warm := p1.BatchWarm(); warm == cold {
-			t.Fatalf("refresh %d: batch session warm = %v after %s rotation, want %v",
-				r, warm, map[bool]string{true: "cold", false: "pipelined"}[cold], !cold)
+		if !p1.BatchWarm() {
+			t.Fatalf("refresh %d: no batch session installed at commit", r)
 		}
 		decryptRound()
 		if !p1.BatchWarm() {

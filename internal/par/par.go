@@ -1,16 +1,17 @@
 // Package par provides bounded-worker parallel fan-out helpers for
 // the independent loops in the protocol stack and the curve
-// primitives: per-coordinate fan-out (hpske transports, dlr share
-// combinations, device protocol instances) via ForEach, and
-// contiguous-range partitioning (Pippenger window groups, lockstep
-// Miller-loop chunks, batch-inversion segments) via Chunks.
+// primitives: per-coordinate fan-out (hpske transports and linear
+// combinations, dlr share combinations, device protocol instances,
+// per-pair final exponentiations) via ForEach, and contiguous-range
+// partitioning (the lockstep Miller-loop chunks of MultiPair and
+// PairBatch) via Chunks.
 //
 // Work is dispatched by an atomic index so workers self-balance, and
 // the worker count is capped at GOMAXPROCS — on a single-core host
 // every helper degrades to a plain sequential loop with no goroutine
 // overhead. Callers that trade per-item overhead for parallelism
-// (extra accumulators, extra interior inversions) gate on Workers()
-// and a size threshold so small inputs keep their serial fast path;
+// (the extra accumulators of a chunked Miller loop) gate on a minimum
+// chunk size so small inputs keep their serial fast path;
 // docs/ARCHITECTURE.md ("Parallel execution model") records which
 // phases fan out and at what sizes.
 package par
@@ -21,18 +22,11 @@ import (
 	"sync/atomic"
 )
 
-// ForEach invokes f(i) for every i in [0, n), spreading calls across
-// min(n, GOMAXPROCS) workers and returning when all calls have
-// finished. f must be safe to call concurrently from multiple
-// goroutines; iteration order is unspecified. Panics in f propagate to
-// the caller (from an arbitrary worker, once per ForEach).
-// Workers returns the fan-out cap every helper in this package
-// honours: GOMAXPROCS at call time. Callers use it to decide whether a
-// parallel variant can win at all (Workers() == 1 means any chunking
-// overhead is pure loss) and to size per-worker state.
-func Workers() int { return runtime.GOMAXPROCS(0) }
+// workers returns the fan-out cap every helper in this package
+// honours: GOMAXPROCS at call time.
+func workers() int { return runtime.GOMAXPROCS(0) }
 
-// Chunks partitions [0, n) into at most Workers() contiguous
+// Chunks partitions [0, n) into at most GOMAXPROCS contiguous
 // half-open ranges [lo, hi), each covering at least minChunk indices
 // (the last chunks may be one element larger to absorb the
 // remainder). It returns nil for n ≤ 0 and a single full-range chunk
@@ -47,7 +41,7 @@ func Chunks(n, minChunk int) [][2]int {
 		minChunk = 1
 	}
 	k := n / minChunk
-	if w := Workers(); k > w {
+	if w := workers(); k > w {
 		k = w
 	}
 	if k < 1 {
@@ -67,15 +61,20 @@ func Chunks(n, minChunk int) [][2]int {
 	return out
 }
 
+// ForEach invokes f(i) for every i in [0, n), spreading calls across
+// min(n, GOMAXPROCS) workers and returning when all calls have
+// finished. f must be safe to call concurrently from multiple
+// goroutines; iteration order is unspecified. Panics in f propagate to
+// the caller (from an arbitrary worker, once per ForEach).
 func ForEach(n int, f func(int)) {
 	if n <= 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	nw := workers()
+	if nw > n {
+		nw = n
 	}
-	if workers <= 1 {
+	if nw <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)
 		}
@@ -86,7 +85,7 @@ func ForEach(n int, f func(int)) {
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
 	var panicked any
-	for w := 0; w < workers; w++ {
+	for w := 0; w < nw; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -54,7 +54,7 @@ func TestForEachNegativeN(t *testing.T) {
 }
 
 // checkChunks validates the Chunks contract: contiguous cover of
-// [0, n), at most max(1, Workers()) chunks, and — when more than one
+// [0, n), at most max(1, workers()) chunks, and — when more than one
 // chunk is returned — every chunk at least minChunk long.
 func checkChunks(t *testing.T, n, minChunk int, cs [][2]int) {
 	t.Helper()
@@ -64,8 +64,8 @@ func checkChunks(t *testing.T, n, minChunk int, cs [][2]int) {
 		}
 		return
 	}
-	if len(cs) == 0 || len(cs) > Workers() && len(cs) != 1 {
-		t.Fatalf("Chunks(%d, %d): %d chunks with %d workers", n, minChunk, len(cs), Workers())
+	if len(cs) == 0 || len(cs) > workers() && len(cs) != 1 {
+		t.Fatalf("Chunks(%d, %d): %d chunks with %d workers", n, minChunk, len(cs), workers())
 	}
 	lo := 0
 	for _, c := range cs {

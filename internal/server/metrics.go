@@ -35,16 +35,14 @@ type Metrics struct {
 
 	occupancySum atomic.Uint64 // Σ batch sizes, for the mean
 
-	// Rotation gauges (docs/PERFORMANCE.md, "Rotation cadence sizing"):
-	// stall is the window-loop pause a rotation caused — the commit
-	// round trip on the pipelined path, the whole rotation on the cold
-	// path — and rebuild is the table-build time the rotation spent
-	// (off-loop when pipelined, inside the stall when cold).
-	rotPrewarmed  atomic.Uint64 // pipelined rotations committed
-	rotCold       atomic.Uint64 // cold (serialized) rotations
-	rotStallLast  atomic.Int64  // ns; most recent rotation's stall
-	rotStallSum   atomic.Int64  // ns; Σ stalls, for the mean
-	rotRebuildSum atomic.Int64  // ns; Σ rebuild times, for the mean
+	// Rotation gauges (docs/PERFORMANCE.md, "Rotation cadence sizing"),
+	// one sample per committed refresh: stall is the window-loop pause
+	// a rotation caused — the commit round trip — and rebuild is the
+	// off-loop staging time it spent building the next epoch's share
+	// material and tables.
+	rotStallLast  atomic.Int64 // ns; most recent rotation's stall
+	rotStallSum   atomic.Int64 // ns; Σ stalls, for the mean
+	rotRebuildSum atomic.Int64 // ns; Σ rebuild times, for the mean
 
 	mu sync.Mutex
 	//dlr:guarded-by mu
@@ -94,7 +92,6 @@ func init() {
 			"latency_p99_us": s.P99.Microseconds(),
 
 			"rotations_prewarmed":      s.RotationsPrewarmed,
-			"rotations_cold":           s.RotationsCold,
 			"rotation_stall_last_us":   s.RotationStallLast.Microseconds(),
 			"rotation_stall_mean_us":   s.RotationStallMean.Microseconds(),
 			"rotation_rebuild_mean_us": s.RotationRebuildMean.Microseconds(),
@@ -135,27 +132,15 @@ func (m *Metrics) recordRejected() {
 	}
 }
 
-func (m *Metrics) recordRefresh() {
+// recordRotation notes one committed refresh: how long it stalled the
+// tenant's window loop and how long its off-loop staging took.
+func (m *Metrics) recordRotation(stall, rebuild time.Duration) {
 	m.refreshes.Add(1)
-	if m.mirror != nil {
-		m.mirror.recordRefresh()
-	}
-}
-
-// recordRotation notes one completed rotation: how long it stalled the
-// tenant's window loop, how long its table rebuild took, and whether
-// it ran the pipelined (prewarmed) path.
-func (m *Metrics) recordRotation(stall, rebuild time.Duration, prewarmed bool) {
-	if prewarmed {
-		m.rotPrewarmed.Add(1)
-	} else {
-		m.rotCold.Add(1)
-	}
 	m.rotStallLast.Store(int64(stall))
 	m.rotStallSum.Add(int64(stall))
 	m.rotRebuildSum.Add(int64(rebuild))
 	if m.mirror != nil {
-		m.mirror.recordRotation(stall, rebuild, prewarmed)
+		m.mirror.recordRotation(stall, rebuild)
 	}
 }
 
@@ -208,9 +193,13 @@ type Snapshot struct {
 	// percentiles over the most recent latRingSize responses, so
 	// P50 ≤ P99 at every sample count.
 	P50, P99 time.Duration
-	// RotationsPrewarmed and RotationsCold count completed rotations by
-	// path; the stall and rebuild gauges aggregate over both.
-	RotationsPrewarmed, RotationsCold uint64
+	// RotationsPrewarmed counts committed rotations, so it equals
+	// Refreshes: every rotation stages and prewarms the next epoch's
+	// tables off the window loop.
+	RotationsPrewarmed uint64
+	// RotationsCold is always 0: the server has no other rotation path.
+	// It stays only because the loadbench module reads it.
+	RotationsCold uint64
 	// RotationStallLast is the window-loop pause of the most recent
 	// rotation; RotationStallMean and RotationRebuildMean average over
 	// all rotations (0 when none have run).
@@ -237,10 +226,9 @@ func (m *Metrics) Snapshot() Snapshot {
 	if s.Windows > 0 {
 		s.MeanOccupancy = float64(m.occupancySum.Load()) / float64(s.Windows)
 	}
-	s.RotationsPrewarmed = m.rotPrewarmed.Load()
-	s.RotationsCold = m.rotCold.Load()
+	s.RotationsPrewarmed = s.Refreshes
 	s.RotationStallLast = time.Duration(m.rotStallLast.Load())
-	if n := s.RotationsPrewarmed + s.RotationsCold; n > 0 {
+	if n := s.RotationsPrewarmed; n > 0 {
 		s.RotationStallMean = time.Duration(m.rotStallSum.Load() / int64(n))
 		s.RotationRebuildMean = time.Duration(m.rotRebuildSum.Load() / int64(n))
 	}

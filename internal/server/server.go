@@ -86,15 +86,6 @@ type Config struct {
 	// production deployment rotates continually). Zero disables the
 	// scheduler; RefreshTenant remains available either way.
 	RefreshEvery time.Duration
-	// ColdRefresh reverts RefreshTenant (and the scheduler) to the
-	// serialized rotation path — the full RunRef + BeginPeriod executed
-	// between windows, with every table rebuilt by the first
-	// post-rotation batch. Default false: rotations are pipelined, with
-	// next-epoch state staged and tables prewarmed concurrently with
-	// serving, and only the commit round trip quiescing the window
-	// loop. The cold path is kept for the E17 comparison and as an
-	// operational escape hatch.
-	ColdRefresh bool
 }
 
 func (c Config) withDefaults() Config {
@@ -280,39 +271,21 @@ func (s *Server) QueueDepth() int {
 }
 
 // RefreshTenant rotates one tenant's shares with zero downtime for
-// every other tenant and — on the default pipelined path — near-zero
-// stall for the tenant itself.
+// every other tenant and near-zero stall for the tenant itself.
 //
-// Pipelined (default): the next-epoch share material and its pairing
-// tables are staged by dlr.P1.StageRefresh concurrently with serving
-// (staging only reads share state, which mutates exclusively on the
-// window loop, and refreshMu excludes competing rotations). Only the
-// commit — one device round trip plus an atomic state flip — runs on
-// the window loop between batch windows, so the serving stall is the
-// commit's duration, not the full rebuild's. The first post-commit
-// window finds prewarmed tables and a warm batch session.
-//
-// Cold (Config.ColdRefresh): the full RunRef + BeginPeriod executes on
-// the window loop, stalling the tenant for the whole rotation and
-// leaving every table to be rebuilt by the first post-rotation batch.
+// The next-epoch share material and its pairing tables are staged by
+// dlr.P1.StageRefresh concurrently with serving (staging only reads
+// share state, which mutates exclusively on the window loop, and
+// refreshMu excludes competing rotations). Only the commit — one
+// device round trip plus an atomic state flip — runs on the window
+// loop between batch windows, so the serving stall is the commit's
+// duration, not the full rebuild's. The first post-commit window finds
+// prewarmed tables and a warm batch session.
 func (s *Server) RefreshTenant(name string) error {
 	t, ok := s.tenants.Get(name)
 	if !ok {
 		return fmt.Errorf("server: unknown tenant %q", name)
 	}
-	if s.cfg.ColdRefresh {
-		var stall time.Duration
-		err := s.execOnLoop(t, func() error {
-			start := time.Now()
-			defer func() { stall = time.Since(start) }()
-			return s.refresh(t)
-		})
-		if err == nil {
-			s.metrics.recordRotation(stall, stall, false)
-		}
-		return err
-	}
-
 	t.refreshMu.Lock()
 	defer t.refreshMu.Unlock()
 	buildStart := time.Now()
@@ -331,8 +304,7 @@ func (s *Server) RefreshTenant(name string) error {
 		st.Abandon()
 		return fmt.Errorf("server: committing refresh for %q: %w", name, err)
 	}
-	s.metrics.recordRefresh()
-	s.metrics.recordRotation(stall, rebuild, true)
+	s.metrics.recordRotation(stall, rebuild)
 	return nil
 }
 
@@ -669,17 +641,4 @@ func (s *Server) handleRefresh(ss *session, m wire.MuxMsg) {
 	b.AppendUint32(uint32(epoch >> 32))
 	b.AppendUint32(uint32(epoch))
 	ss.send(wire.MuxMsg{ID: m.ID, Kind: KindRefreshed, Payload: b.Bytes()})
-}
-
-// refresh runs the 2-party refresh plus period rotation on the
-// tenant's device channel. Called only from the tenant's window loop.
-func (s *Server) refresh(t *tenant) error {
-	if err := t.p1.RunRef(rand.Reader, t.dev); err != nil {
-		return fmt.Errorf("server: refresh protocol for %q: %w", t.name, err)
-	}
-	if err := t.p1.BeginPeriod(rand.Reader); err != nil {
-		return fmt.Errorf("server: period rotation for %q: %w", t.name, err)
-	}
-	s.metrics.recordRefresh()
-	return nil
 }
