@@ -34,16 +34,17 @@ race-par:
 	$(GO) test -race -count=1 ./internal/par ./internal/bn254 ./internal/dlr
 
 # race-server is the focused race pass over the serving stack: the
-# batch-window server, the mux framing under it, the striped tenant
-# store, and the dlr protocol layer it drains windows through
-# (including the refresh-during-window race tests). A subset of `race`.
+# batch-window server, the mux framing under it and the striped tenant
+# store. A subset of `race`. The dlr protocol layer the server drains
+# windows through is left out: `race` already runs its whole suite,
+# and race-rotation its refresh-during-window race tests.
 race-server:
-	$(GO) test -race -count=1 ./internal/server ./internal/wire ./internal/storage ./internal/dlr
+	$(GO) test -race -count=1 ./internal/server ./internal/wire ./internal/storage
 
 # race-rotation is the rotation race gate: the rotation storm and
-# scheduler tests and the epoch-invalidation tests of the pipelined
-# rotation (race-server's broader sweep spends most of its time on
-# protocol tests). Run while iterating on rotation code.
+# scheduler tests and dlr's refresh-during-window tests (the
+# epoch-invalidation tests of the pipelined rotation). Run while
+# iterating on rotation code.
 race-rotation:
 	$(GO) test -race -count=1 -run 'TestRotation|TestServerRefresh' ./internal/server ./internal/dlr
 

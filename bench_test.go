@@ -362,9 +362,10 @@ func benchTransportInputs(b *testing.B) (*bn254.G1, *hpske.Ciphertext[*bn254.G2]
 
 func BenchmarkHPSKE_Transport(b *testing.B) {
 	a, ct := benchTransportInputs(b)
+	cts := []*hpske.Ciphertext[*bn254.G2]{ct}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hpske.Transport(nil, a, ct)
+		hpske.TransportMany(nil, a, cts)
 	}
 }
 

@@ -75,6 +75,7 @@ func main() {
 	if *refresh > 0 {
 		log.Printf("rotation scheduler: every %s", *refresh)
 	}
+	expvar.Publish("dlrserver", s.Metrics().Expvar())
 
 	switch {
 	case *share2Path != "":

@@ -207,7 +207,7 @@ func fastPathOps() ([]fpOp, error) {
 		{
 			name: fmt.Sprintf("Transport(κ=%d)", kappa), iters: 5,
 			ref:  func() { hpske.TransportReference(nil, p1, ct) },
-			fast: func() { hpske.Transport(nil, p1, ct) },
+			fast: func() { hpske.TransportMany(nil, p1, []*hpske.Ciphertext[*bn254.G2]{ct}) },
 		},
 	}, nil
 }

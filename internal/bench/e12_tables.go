@@ -47,7 +47,8 @@ func e12Ops() ([]fpOp, error) {
 	if err != nil {
 		return nil, err
 	}
-	tt := hpske.PrecomputeTransport(ct)
+	cts := []*hpske.Ciphertext[*bn254.G2]{ct}
+	tts := hpske.PrecomputeTransportMany(cts)
 
 	return []fpOp{
 		{
@@ -57,8 +58,8 @@ func e12Ops() ([]fpOp, error) {
 		},
 		{
 			name: fmt.Sprintf("Transport(κ=%d) (cold→table)", kappa), iters: 10,
-			ref:  func() { hpske.Transport(nil, p1, ct) },
-			fast: func() { hpske.TransportPre(nil, p1, tt) },
+			ref:  func() { hpske.TransportMany(nil, p1, cts) },
+			fast: func() { hpske.TransportManyPre(nil, p1, tts) },
 		},
 	}, nil
 }

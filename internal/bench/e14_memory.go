@@ -68,7 +68,8 @@ func e14Ops() ([]fpOp, error) {
 	if err != nil {
 		return nil, err
 	}
-	tt := hpske.PrecomputeTransport(ct)
+	cts := []*hpske.Ciphertext[*bn254.G2]{ct}
+	tts := hpske.PrecomputeTransportMany(cts)
 
 	var sink1 bn254.G1
 	var sink2 bn254.G2
@@ -97,8 +98,8 @@ func e14Ops() ([]fpOp, error) {
 		},
 		{
 			name: fmt.Sprintf("Transport(κ=%d) (cold→table)", kappa), iters: 4,
-			ref:  func() { hpske.Transport(nil, p, ct) },
-			fast: func() { hpske.TransportPre(nil, p, tt) },
+			ref:  func() { hpske.TransportMany(nil, p, cts) },
+			fast: func() { hpske.TransportManyPre(nil, p, tts) },
 		},
 		{
 			name: fmt.Sprintf("MultiExp(%d)-G1 (Straus→arena Pippenger)", msmN), iters: 3,

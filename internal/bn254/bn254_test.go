@@ -220,22 +220,6 @@ func TestPairingIdentity(t *testing.T) {
 	}
 }
 
-func TestMillerLoopsAgree(t *testing.T) {
-	p, _, err := RandG1(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _, err := RandG2(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := millerLoopTwisted(p, q)
-	fg := millerLoopGeneric(p, q)
-	if !ft.Equal(fg) {
-		t.Fatal("twisted and generic Miller loops disagree")
-	}
-}
-
 func TestPairMatchesReference(t *testing.T) {
 	p, _, err := RandG1(nil)
 	if err != nil {

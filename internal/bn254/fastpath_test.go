@@ -3,6 +3,7 @@ package bn254
 import (
 	"crypto/rand"
 	"math/big"
+	"runtime"
 	"testing"
 
 	"repro/internal/ff"
@@ -292,32 +293,11 @@ func TestGTExpNonCyclotomicBase(t *testing.T) {
 }
 
 func TestMultiPairMatchesPairProduct(t *testing.T) {
-	for i := 0; i < 25; i++ {
-		n := 1 + i%4
-		ps := make([]*G1, n)
-		qs := make([]*G2, n)
-		for j := range ps {
-			p, _, err := RandG1(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, _, err := RandG2(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps[j] = p
-			qs[j] = q
-			if (i+j)%6 == 0 {
-				ps[j] = NewG1() // identity pair contributes 1
-			}
-		}
-		got := MultiPair(ps, qs)
-		want := GTOne()
-		for j := range ps {
-			want.Mul(want, Pair(ps[j], qs[j]))
-		}
-		if !got.Equal(want) {
-			t.Fatalf("iteration %d: MultiPair != Π Pair (n=%d)", i, n)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range pairCases(t) {
+		ps, qs := split(c.pairs)
+		if !MultiPair(ps, qs).Equal(wantProduct(c.pairs)) {
+			t.Fatalf("%s: MultiPair != Π PairReference", c.name)
 		}
 	}
 	if !MultiPair(nil, nil).IsOne() {
@@ -325,32 +305,25 @@ func TestMultiPairMatchesPairProduct(t *testing.T) {
 	}
 }
 
+// TestPairBatchMatchesPair checks PairBatch, and Pair on the same
+// inputs, pair by pair against the reference.
 func TestPairBatchMatchesPair(t *testing.T) {
-	for i := 0; i < 15; i++ {
-		n := 1 + i%4
-		ps := make([]*G1, n)
-		qs := make([]*G2, n)
-		for j := range ps {
-			p, _, err := RandG1(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, _, err := RandG2(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps[j] = p
-			qs[j] = q
-			if (i+j)%5 == 0 {
-				qs[j] = NewG2()
-			}
-		}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range pairCases(t) {
+		ps, qs := split(c.pairs)
 		got := PairBatch(ps, qs)
-		for j := range ps {
-			if !got[j].Equal(Pair(ps[j], qs[j])) {
-				t.Fatalf("iteration %d: PairBatch[%d] != Pair", i, j)
+		for j, tp := range c.pairs {
+			want := tp.want()
+			if !got[j].Equal(want) {
+				t.Fatalf("%s: PairBatch[%d] != PairReference", c.name, j)
+			}
+			if !Pair(tp.p, tp.q).Equal(want) {
+				t.Fatalf("%s: Pair on pair %d != PairReference", c.name, j)
 			}
 		}
+	}
+	if len(PairBatch(nil, nil)) != 0 {
+		t.Fatal("empty PairBatch must return no values")
 	}
 }
 

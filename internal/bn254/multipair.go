@@ -5,11 +5,9 @@ import (
 	"repro/internal/par"
 )
 
-// Multi-pairing fast paths. Both routines run the Miller loops of all
-// input pairs in lockstep so that the per-step line denominators — the
-// only field inversions in the loop — can be batch-inverted with
-// Montgomery's trick (one inversion per step instead of one per step
-// per pair).
+// Multi-pairing entry points. Both run the Miller loops of all input
+// pairs in lockstep through millerInto, so the per-step line
+// denominators are batch-inverted across the pairs.
 //
 //   - MultiPair computes the PRODUCT Π e(pᵢ, qᵢ): the pairs also share
 //     a single Fp12 accumulator (one squaring per step total) and a
@@ -27,49 +25,58 @@ import (
 // cost of a chunk split is one extra Fp12 squaring chain per chunk
 // (~190 squarings) plus narrower inversion batches, which is why the
 // split gates on multiPairParMinChunk pairs per chunk — below two
-// chunks' worth, or on a single-core host, the serial lockstep loop
-// runs unchanged.
+// chunks' worth, or on a single-core host, one lockstep run covers
+// every pair.
 
-// MultiPair computes Π e(ps[i], qs[i]) with one shared Miller
-// accumulator and a single final exponentiation. Pairs where either
-// side is the identity contribute 1 and are skipped. Panics if the
-// slice lengths differ. Differentially tested against a loop of Pair
-// calls.
-func MultiPair(ps []*G1, qs []*G2) *GT {
-	if len(ps) != len(qs) {
-		panic("bn254: MultiPair: mismatched lengths")
-	}
-	var actP []*G1
-	var actQ []*G2
+// activePairs drops the pairs with the identity on either side — they
+// pair to 1 — and returns the others with their input positions.
+func activePairs(ps []*G1, qs []*G2) (actP []*G1, actQ []*G2, idx []int) {
+	actP = make([]*G1, 0, len(ps))
+	actQ = make([]*G2, 0, len(ps))
+	idx = make([]int, 0, len(ps))
 	for i := range ps {
 		if ps[i].IsInfinity() || qs[i].IsInfinity() {
 			continue
 		}
 		actP = append(actP, ps[i])
 		actQ = append(actQ, qs[i])
+		idx = append(idx, i)
 	}
+	return actP, actQ, idx
+}
+
+// MultiPair computes Π e(ps[i], qs[i]) with one shared Miller
+// accumulator and a single final exponentiation. Pairs where either
+// side is the identity contribute 1 and are skipped. Panics if the
+// slice lengths differ. Differentially tested against PairReference.
+func MultiPair(ps []*G1, qs []*G2) *GT {
+	if len(ps) != len(qs) {
+		panic("bn254: MultiPair: mismatched lengths")
+	}
+	actP, actQ, _ := activePairs(ps, qs)
 	if len(actP) == 0 {
 		return GTOne()
 	}
 
-	var f ff.Fp12
+	var f [1]ff.Fp12
 	if cs := par.Chunks(len(actP), multiPairParMinChunk); len(cs) > 1 {
-		// Per-chunk lockstep loops, one accumulator each; the Miller
-		// value is multiplicative so the product matches the joint run.
+		// One shared accumulator per chunk; the Miller value is
+		// multiplicative so their product matches the joint run.
 		fs := make([]ff.Fp12, len(cs))
 		par.ForEach(len(cs), func(ci int) {
-			multiPairMillerInto(&fs[ci], actP[cs[ci][0]:cs[ci][1]], actQ[cs[ci][0]:cs[ci][1]])
+			lo, hi := cs[ci][0], cs[ci][1]
+			millerInto(fs[ci:ci+1], actP[lo:hi], actQ[lo:hi], nil, nil)
 		})
-		f.Set(&fs[0])
+		f[0].Set(&fs[0])
 		for ci := 1; ci < len(fs); ci++ {
-			f.Mul(&f, &fs[ci])
+			f[0].Mul(&f[0], &fs[ci])
 		}
 	} else {
-		multiPairMillerInto(&f, actP, actQ)
+		millerInto(f[:], actP, actQ, nil, nil)
 	}
 
 	out := new(GT)
-	finalExpFastInto(&out.v, &f)
+	finalExpFastInto(&out.v, &f[0])
 	return out
 }
 
@@ -77,72 +84,23 @@ func MultiPair(ps []*G1, qs []*G2) *GT {
 // Miller chunk: each extra chunk pays its own ~190-squaring chain and
 // narrows the shared inversion batches, so splits below 4 pairs per
 // chunk lose even with idle cores. MultiPair(4) — the E11 reference
-// shape — therefore always runs the serial lockstep loop.
+// shape — therefore always runs one lockstep loop.
 const multiPairParMinChunk = 4
-
-// multiPairMillerInto runs the shared-accumulator lockstep Miller
-// loop over the (already identity-filtered) pairs into f, without the
-// final exponentiation. One denominator/inverse/prefix triple is
-// reused by every step: the ~190 per-step batch inversions share
-// these buffers instead of allocating fresh ones
-// (ff.BatchInverseFp2Into).
-func multiPairMillerInto(f *ff.Fp12, actP []*G1, actQ []*G2) {
-	ts := make([]G2, len(actQ))
-	for i := range actQ {
-		ts[i].Set(actQ[i])
-	}
-	dens := make([]ff.Fp2, len(actQ))
-	invs := make([]ff.Fp2, len(actQ))
-	prefix := make([]ff.Fp2, len(actQ))
-
-	f.SetOne()
-	s := ateLoop
-	for i := s.BitLen() - 2; i >= 0; i-- {
-		f.Square(f)
-		for k := range ts {
-			dens[k] = doubleStepDen(&ts[k])
-		}
-		ff.BatchInverseFp2Into(invs, dens, prefix)
-		for k := range ts {
-			l := doubleStepPre(&ts[k], actP[k], &invs[k])
-			f.MulLine(f, &l.e0, &l.e1, &l.e3)
-		}
-		if s.Bit(i) == 1 {
-			for k := range ts {
-				dens[k] = addStepDen(&ts[k], actQ[k])
-			}
-			ff.BatchInverseFp2Into(invs, dens, prefix)
-			for k := range ts {
-				l := addStepPre(&ts[k], actQ[k], actP[k], &invs[k])
-				f.MulLine(f, &l.e0, &l.e1, &l.e3)
-			}
-		}
-	}
-}
 
 // PairBatch computes the n pairings e(ps[i], qs[i]) individually,
 // sharing only the batched line-denominator inversions across the
 // lockstep Miller loops. Identity pairs yield 1 at their position.
 // Panics if the slice lengths differ. Differentially tested against
-// per-pair Pair calls.
+// PairReference.
 func PairBatch(ps []*G1, qs []*G2) []*GT {
 	if len(ps) != len(qs) {
 		panic("bn254: PairBatch: mismatched lengths")
 	}
 	out := make([]*GT, len(ps))
-	// idx maps active-slot -> output position.
-	var idx []int
-	var actP []*G1
-	var actQ []*G2
-	for i := range ps {
-		if ps[i].IsInfinity() || qs[i].IsInfinity() {
-			out[i] = GTOne()
-			continue
-		}
-		idx = append(idx, i)
-		actP = append(actP, ps[i])
-		actQ = append(actQ, qs[i])
+	for i := range out {
+		out[i] = GTOne()
 	}
+	actP, actQ, idx := activePairs(ps, qs)
 	if len(idx) == 0 {
 		return out
 	}
@@ -154,55 +112,16 @@ func PairBatch(ps []*G1, qs []*G2) []*GT {
 	if cs := par.Chunks(len(actP), multiPairParMinChunk); len(cs) > 1 {
 		par.ForEach(len(cs), func(ci int) {
 			lo, hi := cs[ci][0], cs[ci][1]
-			pairBatchMillerInto(fs[lo:hi], actP[lo:hi], actQ[lo:hi])
+			millerInto(fs[lo:hi], actP[lo:hi], actQ[lo:hi], nil, nil)
 		})
 	} else {
-		pairBatchMillerInto(fs, actP, actQ)
+		millerInto(fs, actP, actQ, nil, nil)
 	}
 
 	// The per-pair final exponentiations are independent — fan them out
 	// across CPUs (degrades to a sequential loop on one core).
 	par.ForEach(len(idx), func(k int) {
-		g := new(GT)
-		finalExpFastInto(&g.v, &fs[k])
-		out[idx[k]] = g
+		finalExpFastInto(&out[idx[k]].v, &fs[k])
 	})
 	return out
-}
-
-// pairBatchMillerInto runs the lockstep Miller loops with per-pair
-// accumulators into fs, sharing only the batched line-denominator
-// inversions; no final exponentiation.
-func pairBatchMillerInto(fs []ff.Fp12, actP []*G1, actQ []*G2) {
-	ts := make([]G2, len(actQ))
-	for i := range actQ {
-		ts[i].Set(actQ[i])
-		fs[i].SetOne()
-	}
-	dens := make([]ff.Fp2, len(actQ))
-	invs := make([]ff.Fp2, len(actQ))
-	prefix := make([]ff.Fp2, len(actQ))
-
-	s := ateLoop
-	for i := s.BitLen() - 2; i >= 0; i-- {
-		for k := range ts {
-			fs[k].Square(&fs[k])
-			dens[k] = doubleStepDen(&ts[k])
-		}
-		ff.BatchInverseFp2Into(invs, dens, prefix)
-		for k := range ts {
-			l := doubleStepPre(&ts[k], actP[k], &invs[k])
-			fs[k].MulLine(&fs[k], &l.e0, &l.e1, &l.e3)
-		}
-		if s.Bit(i) == 1 {
-			for k := range ts {
-				dens[k] = addStepDen(&ts[k], actQ[k])
-			}
-			ff.BatchInverseFp2Into(invs, dens, prefix)
-			for k := range ts {
-				l := addStepPre(&ts[k], actQ[k], actP[k], &invs[k])
-				fs[k].MulLine(&fs[k], &l.e0, &l.e1, &l.e3)
-			}
-		}
-	}
 }

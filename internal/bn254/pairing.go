@@ -17,9 +17,9 @@ func Pair(p *G1, q *G2) *GT {
 	if p.IsInfinity() || q.IsInfinity() {
 		return out.SetOne()
 	}
-	var f ff.Fp12
-	millerLoopTwistedInto(&f, p, q)
-	finalExpFastInto(&out.v, &f)
+	var f [1]ff.Fp12
+	millerInto(f[:], []*G1{p}, []*G2{q}, nil, nil)
+	finalExpFastInto(&out.v, &f[0])
 	return out
 }
 
@@ -47,37 +47,25 @@ var fp2Three = func() *ff.Fp2 {
 	return &t
 }()
 
-// lineEval holds a sparse line evaluation l(P) = e0 + e1·w + e3·w³ with
-// e0 ∈ Fp (embedded), e1, e3 ∈ Fp2.
-type lineEval struct {
-	e0, e1, e3 ff.Fp2
-}
-
-// toFp12 expands the sparse line into a full Fp12 element.
-func (l *lineEval) toFp12() *ff.Fp12 {
-	var out ff.Fp12
-	out.C0.C0.Set(&l.e0) // w⁰
-	out.C1.C0.Set(&l.e1) // w¹
-	out.C1.C1.Set(&l.e3) // w³
-	return &out
-}
-
-// doubleStep doubles t in place and returns the tangent line at the old
-// t, evaluated at p. t must not be infinity or 2-torsion.
-func doubleStep(t *G2, p *G1) lineEval {
-	// Line denominators are coordinates of the public input points, so
-	// the variable-time Kaliski inverse is safe here — and the ~100
-	// tangent/chord slopes per Miller loop form a sequential chain
-	// (each feeds the next point update), so they cannot be batched
-	// within one pairing. See ff.InverseVartime.
-	var den ff.Fp2
-	den.Double(&t.y)
-	den.InverseVartime(&den)
-	return doubleStepPre(t, p, &den)
-}
+// ateSteps is the ate Miller loop's line schedule in emission order:
+// one doubling line (false) per bit of 6u² below the top one, each
+// preceded by squaring the accumulator, plus an addition line (true)
+// after each set bit. Every Miller loop in the package — the engine
+// and the table recording chain — walks this one schedule, so table
+// line k is the k-th line of every cold loop.
+var ateSteps = func() []bool {
+	var steps []bool
+	for i := ateLoop.BitLen() - 2; i >= 0; i-- {
+		steps = append(steps, false)
+		if ateLoop.Bit(i) == 1 {
+			steps = append(steps, true)
+		}
+	}
+	return steps
+}()
 
 // doubleStepDen returns the tangent-line denominator 2y whose inverse
-// doubleStepPre consumes — split out so multi-pairings can batch-invert
+// doubleStepCoeffs consumes — split out so the engine can batch-invert
 // the denominators of many lockstep Miller loops at once.
 func doubleStepDen(t *G2) ff.Fp2 {
 	var den ff.Fp2
@@ -85,16 +73,10 @@ func doubleStepDen(t *G2) ff.Fp2 {
 	return den
 }
 
-// doubleStepPre is doubleStep with the denominator inverse (2y)⁻¹
-// already computed.
-func doubleStepPre(t *G2, p *G1, dinv *ff.Fp2) lineEval {
-	a, b := doubleStepCoeffs(t, dinv)
-	return lineFromCoeffs(&a, &b, p)
-}
-
 // doubleStepCoeffs advances t to 2t and returns the P-independent
 // tangent-line coefficients (a, b) with l(P) = P.y + a·P.x·w + b·w³
-// (a = −λ, b = λ·tx − ty). This is the piece a PairingTable stores.
+// (a = −λ, b = λ·tx − ty), given dinv = (2y)⁻¹. This is the piece a
+// PairingTable stores. t must not be infinity or 2-torsion.
 func doubleStepCoeffs(t *G2, dinv *ff.Fp2) (a, b ff.Fp2) {
 	// λ = 3x²/(2y) on the twist.
 	var lambda, num ff.Fp2
@@ -120,45 +102,18 @@ func doubleStepCoeffs(t *G2, dinv *ff.Fp2) (a, b ff.Fp2) {
 	return a, b
 }
 
-// lineFromCoeffs specializes stored line coefficients to the G1
-// argument: l(P) = P.y + (a·P.x)·w + b·w³. Only two base-field
-// multiplications (a·P.x is an Fp2-by-Fp scaling) — no G2 arithmetic,
-// no inversions.
-func lineFromCoeffs(a, b *ff.Fp2, p *G1) lineEval {
-	var l lineEval
-	l.e0.SetFp(&p.y)
-	l.e1.MulFp(a, &p.x)
-	l.e3.Set(b)
-	return l
-}
-
-// addStep sets t = t + q in place and returns the chord line through the
-// old t and q, evaluated at p. Requires t ≠ ±q and neither infinite.
-func addStep(t, q *G2, p *G1) lineEval {
-	var den ff.Fp2
-	den.Sub(&q.x, &t.x)
-	den.InverseVartime(&den) // public operand, as in doubleStep
-	return addStepPre(t, q, p, &den)
-}
-
 // addStepDen returns the chord-line denominator qx − tx whose inverse
-// addStepPre consumes.
+// addStepCoeffs consumes.
 func addStepDen(t, q *G2) ff.Fp2 {
 	var den ff.Fp2
 	den.Sub(&q.x, &t.x)
 	return den
 }
 
-// addStepPre is addStep with the denominator inverse (qx − tx)⁻¹
-// already computed.
-func addStepPre(t, q *G2, p *G1, dinv *ff.Fp2) lineEval {
-	a, b := addStepCoeffs(t, q, dinv)
-	return lineFromCoeffs(&a, &b, p)
-}
-
 // addStepCoeffs advances t to t+q and returns the P-independent chord
 // coefficients (a, b), the addition-step analogue of doubleStepCoeffs
-// (a = −λ, b = λ·qx − qy).
+// (a = −λ, b = λ·qx − qy), given dinv = (qx − tx)⁻¹. Requires t ≠ ±q
+// and neither infinite.
 func addStepCoeffs(t, q *G2, dinv *ff.Fp2) (a, b ff.Fp2) {
 	var lambda, num ff.Fp2
 	num.Sub(&q.y, &t.y)
@@ -180,32 +135,111 @@ func addStepCoeffs(t, q *G2, dinv *ff.Fp2) (a, b ff.Fp2) {
 	return a, b
 }
 
-// millerLoopTwistedInto computes f = f_{6u², Q}(P) with all point
-// arithmetic on the twist. Out-param form: the accumulator lives in the
-// caller's frame, so a steady-state pairing performs no heap
-// allocation for it.
-func millerLoopTwistedInto(f *ff.Fp12, p *G1, q *G2) {
-	f.SetOne()
-	var t G2
-	t.Set(q)
-	s := ateLoop
-	for i := s.BitLen() - 2; i >= 0; i-- {
-		f.Square(f)
-		l := doubleStep(&t, p)
-		f.MulLine(f, &l.e0, &l.e1, &l.e3)
-		if s.Bit(i) == 1 {
-			l := addStep(&t, q, p)
-			f.MulLine(f, &l.e0, &l.e1, &l.e3)
-		}
-	}
+// lineScale holds the G1 argument's monic-line constants x/y and 1/y.
+// A line l(P) = P.y + a·P.x·w + b·w³ divided by P.y is the monic
+// 1 + a·(P.x/P.y)·w + (b/P.y)·w³, which MulLine01 multiplies in ten
+// Fp2 multiplications. The dropped P.y factor lies in the subfield Fp,
+// so the final exponentiation's easy part (p⁶−1 is a multiple of p−1)
+// erases it. P.y ≠ 0 for every affine G1 point: the curve has prime
+// (odd) order, so it carries no 2-torsion.
+type lineScale struct {
+	xOverY, yInv ff.Fp
 }
 
-// millerLoopTwisted is the allocating wrapper around
-// millerLoopTwistedInto, retained for tests.
-func millerLoopTwisted(p *G1, q *G2) *ff.Fp12 {
-	f := new(ff.Fp12)
-	millerLoopTwistedInto(f, p, q)
-	return f
+func (s *lineScale) set(p *G1) {
+	s.yInv.InverseVartime(&p.y) // p is a public pairing input
+	s.xOverY.Mul(&p.x, &s.yInv)
+}
+
+// mulLine sets f = f · l(P)/P.y for the line with coefficients (a, b).
+func (s *lineScale) mulLine(f *ff.Fp12, a, b *ff.Fp2) {
+	var e1, e3 ff.Fp2
+	e1.MulFp(a, &s.xOverY)
+	e3.MulFp(b, &s.yInv)
+	f.MulLine01(f, &e1, &e3)
+}
+
+// scratch returns buf[:n] when n fits the caller's stack array and a
+// fresh slice otherwise, so single-pair calls stay allocation-free.
+func scratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// millerInto is the package's one Miller-loop engine. It runs the ate
+// loops of the cold pairs (ps[k], qs[k]) and of the table pairs
+// (tps[j], tabs[j]) in lockstep over ateSteps, without the final
+// exponentiation:
+//
+//   - the cold pairs' twist points step together, and each step's line
+//     denominators — the loop's only field inversions — are inverted in
+//     one batch (Montgomery's trick: one inversion per step instead of
+//     one per step per pair);
+//   - the table pairs read their stored (a, b) lines, so they do no G2
+//     arithmetic at all;
+//   - every line is applied in monic form (see lineScale).
+//
+// With len(fs) == 1 every line goes into fs[0], so fs[0] ends as the
+// Miller value of the whole product; otherwise fs holds one
+// accumulator per pair, cold pairs first, and len(fs) must be
+// len(ps)+len(tps). No input may be the identity, and no table may be
+// the identity table: callers filter those out, since they pair to 1.
+func millerInto(fs []ff.Fp12, ps []*G1, qs []*G2, tps []*G1, tabs []*PairingTable) {
+	nc := len(ps)
+	var tBuf [1]G2
+	var dBuf [3]ff.Fp2
+	var sBuf [1]lineScale
+	ts := scratch(tBuf[:], nc)
+	d := scratch(dBuf[:], 3*nc)
+	dens, invs, prefix := d[:nc], d[nc:2*nc], d[2*nc:]
+	scales := scratch(sBuf[:], nc+len(tps))
+	for k := range ts {
+		ts[k].Set(qs[k])
+		scales[k].set(ps[k])
+	}
+	for j := range tps {
+		scales[nc+j].set(tps[j])
+	}
+	// perPair is 0 when all lines share fs[0] and 1 when pair k owns
+	// fs[k].
+	perPair := 1
+	if len(fs) == 1 {
+		perPair = 0
+	}
+	for i := range fs {
+		fs[i].SetOne()
+	}
+
+	for line, add := range ateSteps {
+		if !add {
+			for i := range fs {
+				fs[i].Square(&fs[i])
+			}
+		}
+		for k := range ts {
+			if add {
+				dens[k] = addStepDen(&ts[k], qs[k])
+			} else {
+				dens[k] = doubleStepDen(&ts[k])
+			}
+		}
+		ff.BatchInverseFp2Into(invs, dens, prefix)
+		for k := range ts {
+			var a, b ff.Fp2
+			if add {
+				a, b = addStepCoeffs(&ts[k], qs[k], &invs[k])
+			} else {
+				a, b = doubleStepCoeffs(&ts[k], &invs[k])
+			}
+			scales[k].mulLine(&fs[k*perPair], &a, &b)
+		}
+		for j, tb := range tabs {
+			ln := &tb.lines[line]
+			scales[nc+j].mulLine(&fs[(nc+j)*perPair], &ln.a, &ln.b)
+		}
+	}
 }
 
 // fp12Point is an affine point on E(Fp12): y² = x³ + 3, used by the

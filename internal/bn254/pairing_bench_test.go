@@ -77,3 +77,45 @@ func BenchmarkGTExp(b *testing.B) {
 		new(GT).Exp(e, k)
 	}
 }
+
+// benchPairs returns n random pairs for the multi-pairing benchmarks.
+func benchPairs(n int) ([]*G1, []*G2) {
+	ps := make([]*G1, n)
+	qs := make([]*G2, n)
+	for i := range ps {
+		ps[i], _, _ = RandG1(nil)
+		qs[i], _, _ = RandG2(nil)
+	}
+	return ps, qs
+}
+
+func BenchmarkMultiPair4(b *testing.B) {
+	ps, qs := benchPairs(4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MultiPair(ps, qs)
+	}
+}
+
+func BenchmarkPairBatch8(b *testing.B) {
+	ps, qs := benchPairs(8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PairBatch(ps, qs)
+	}
+}
+
+// BenchmarkMultiPairMixed9 is the batch decryption path's per-request
+// product: one G1 point against κ+1 = 9 tables.
+func BenchmarkMultiPairMixed9(b *testing.B) {
+	ps, qs := benchPairs(9)
+	tabs := make([]*PairingTable, len(qs))
+	for i := range qs {
+		ps[i] = ps[0]
+		tabs[i] = NewPairingTable(qs[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MultiPairMixed(nil, nil, ps, tabs)
+	}
+}

@@ -32,54 +32,36 @@ type tableLine struct {
 }
 
 // PairingTable holds the P-independent Miller-loop line coefficients
-// for a fixed G2 point, in emission order (one doubling line per ate
-// bit, plus one addition line after each set bit). The zero value / a
+// for a fixed G2 point, one per entry of ateSteps. The zero value / a
 // table built from the identity acts as pairing-with-identity: Pair
 // returns 1.
 type PairingTable struct {
 	lines []tableLine
 }
 
-// millerLineCount returns the number of lines an ate Miller loop emits:
-// one doubling step per iteration plus an addition step per set bit.
-func millerLineCount() int {
-	s := ateLoop
-	n := 0
-	for i := s.BitLen() - 2; i >= 0; i-- {
-		n++
-		if s.Bit(i) == 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // NewPairingTable runs the G2 side of the ate Miller loop for q and
 // stores the line coefficients. The per-step inversions are inherently
 // sequential (each slope feeds the next point update), so the build
 // costs about one cold pairing's worth of G2 arithmetic — amortized
-// away after two replays. Differentially tested against Pair.
+// away after two replays. Differentially tested against PairReference.
 func NewPairingTable(q *G2) *PairingTable {
 	tb := &PairingTable{}
 	if q.IsInfinity() {
 		return tb
 	}
-	tb.lines = make([]tableLine, 0, millerLineCount())
+	tb.lines = make([]tableLine, len(ateSteps))
 	var t G2
 	t.Set(q)
-	s := ateLoop
-	for i := s.BitLen() - 2; i >= 0; i-- {
-		var den ff.Fp2
-		den.Double(&t.y)
-		den.InverseVartime(&den) // q is public; see doubleStep
-		var ln tableLine
-		ln.a, ln.b = doubleStepCoeffs(&t, &den)
-		tb.lines = append(tb.lines, ln)
-		if s.Bit(i) == 1 {
-			den.Sub(&q.x, &t.x)
-			den.InverseVartime(&den)
+	for k, add := range ateSteps {
+		ln := &tb.lines[k]
+		if add {
+			den := addStepDen(&t, q)
+			den.InverseVartime(&den) // q is a public pairing input
 			ln.a, ln.b = addStepCoeffs(&t, q, &den)
-			tb.lines = append(tb.lines, ln)
+		} else {
+			den := doubleStepDen(&t)
+			den.InverseVartime(&den)
+			ln.a, ln.b = doubleStepCoeffs(&t, &den)
 		}
 	}
 	return tb
@@ -89,54 +71,19 @@ func NewPairingTable(q *G2) *PairingTable {
 // (every replay returns 1).
 func (tb *PairingTable) IsIdentity() bool { return len(tb.lines) == 0 }
 
-// millerReplay replays the stored Miller loop against p: per step one
-// Fp12 squaring, two Fp2-by-Fp scalings and one monic sparse line
-// multiplication. No G2 arithmetic, and a single Fp inversion for the
-// whole replay.
-//
-// Each line l(P) = P.y + a·P.x·w + b·w³ is normalized to the monic
-// shape 1 + a·(P.x/P.y)·w + (b/P.y)·w³: the dropped P.y factor lives in
-// the proper subfield Fp, so the final exponentiation's easy part
-// (p⁶−1 is a multiple of p−1) erases it, and the cheaper MulLine01
-// replaces MulLine at every step. P.y ≠ 0 for every affine G1 point:
-// the curve has prime (odd) order, so it carries no 2-torsion.
-func (tb *PairingTable) millerReplayInto(f *ff.Fp12, p *G1) {
-	var yInv, xOverY ff.Fp
-	yInv.InverseVartime(&p.y) // p is a public pairing input
-	xOverY.Mul(&p.x, &yInv)
-	f.SetOne()
-	var e1, e3 ff.Fp2
-	idx := 0
-	s := ateLoop
-	for i := s.BitLen() - 2; i >= 0; i-- {
-		f.Square(f)
-		ln := &tb.lines[idx]
-		idx++
-		e1.MulFp(&ln.a, &xOverY)
-		e3.MulFp(&ln.b, &yInv)
-		f.MulLine01(f, &e1, &e3)
-		if s.Bit(i) == 1 {
-			ln := &tb.lines[idx]
-			idx++
-			e1.MulFp(&ln.a, &xOverY)
-			e3.MulFp(&ln.b, &yInv)
-			f.MulLine01(f, &e1, &e3)
-		}
-	}
-}
-
 // Pair computes e(p, Q) for the table's fixed Q by replaying the stored
 // lines, then applying the fast final exponentiation. Agrees with
-// Pair(p, Q) on all inputs (differentially tested). Steady-state cost
-// is one heap allocation — the returned GT.
+// Pair(p, Q) on all inputs (differentially tested against
+// PairReference). Steady-state cost is one heap allocation — the
+// returned GT.
 func (tb *PairingTable) Pair(p *G1) *GT {
 	out := new(GT)
-	if p.IsInfinity() || len(tb.lines) == 0 {
+	if p.IsInfinity() || tb.IsIdentity() {
 		return out.SetOne()
 	}
-	var f ff.Fp12
-	tb.millerReplayInto(&f, p)
-	finalExpFastInto(&out.v, &f)
+	var f [1]ff.Fp12
+	millerInto(f[:], nil, nil, []*G1{p}, []*PairingTable{tb})
+	finalExpFastInto(&out.v, &f[0])
 	return out
 }
 
@@ -157,12 +104,12 @@ func PairTableBatch(ps []*G1, tabs []*PairingTable) []*GT {
 }
 
 // MultiPairMixed computes Π e(ps[i], qs[i]) · Π e(tps[j], Tⱼ) where the
-// first product runs cold Miller loops (lockstep, batch-inverted
-// denominators, as in MultiPair) and the second replays precomputed
-// tables — all into ONE shared Fp12 accumulator with a single final
-// exponentiation. Use it when a product of pairings mixes fixed and
-// fresh G2 arguments, e.g. BB-IBE decryption. Identity pairs on either
-// list contribute 1 and are skipped. Panics on mismatched lengths.
+// first product runs cold Miller loops and the second replays
+// precomputed tables — all in one lockstep run into ONE shared Fp12
+// accumulator with a single final exponentiation. Use it when a
+// product of pairings mixes fixed and fresh G2 arguments, e.g. BB-IBE
+// decryption. Identity pairs on either list contribute 1 and are
+// skipped. Panics on mismatched lengths.
 func MultiPairMixed(ps []*G1, qs []*G2, tps []*G1, tabs []*PairingTable) *GT {
 	if len(ps) != len(qs) {
 		panic("bn254: MultiPairMixed: mismatched cold lengths")
@@ -170,19 +117,11 @@ func MultiPairMixed(ps []*G1, qs []*G2, tps []*G1, tabs []*PairingTable) *GT {
 	if len(tps) != len(tabs) {
 		panic("bn254: MultiPairMixed: mismatched table lengths")
 	}
-	var actP []*G1
-	var actQ []*G2
-	for i := range ps {
-		if ps[i].IsInfinity() || qs[i].IsInfinity() {
-			continue
-		}
-		actP = append(actP, ps[i])
-		actQ = append(actQ, qs[i])
-	}
-	var actTP []*G1
-	var actT []*PairingTable
+	actP, actQ, _ := activePairs(ps, qs)
+	actTP := make([]*G1, 0, len(tps))
+	actT := make([]*PairingTable, 0, len(tabs))
 	for i := range tps {
-		if tps[i].IsInfinity() || len(tabs[i].lines) == 0 {
+		if tps[i].IsInfinity() || tabs[i].IsIdentity() {
 			continue
 		}
 		actTP = append(actTP, tps[i])
@@ -192,68 +131,9 @@ func MultiPairMixed(ps []*G1, qs []*G2, tps []*G1, tabs []*PairingTable) *GT {
 		return GTOne()
 	}
 
-	ts := make([]G2, len(actQ))
-	for i := range actQ {
-		ts[i].Set(actQ[i])
-	}
-	dens := make([]ff.Fp2, len(actQ))
-	invs := make([]ff.Fp2, len(actQ))
-	prefix := make([]ff.Fp2, len(actQ))
-	// Per-replay constants for monic line normalization (see
-	// millerReplay): xOverY = P.x/P.y and yInv = 1/P.y.
-	yInvs := make([]ff.Fp, len(actTP))
-	xOverYs := make([]ff.Fp, len(actTP))
-	for j := range actTP {
-		yInvs[j].InverseVartime(&actTP[j].y)
-		xOverYs[j].Mul(&actTP[j].x, &yInvs[j])
-	}
-
-	var f ff.Fp12
-	var e1, e3 ff.Fp2
-	f.SetOne()
-	cur := 0 // shared cursor: every table has identical emission order
-	s := ateLoop
-	for i := s.BitLen() - 2; i >= 0; i-- {
-		f.Square(&f)
-		if len(ts) > 0 {
-			for k := range ts {
-				dens[k] = doubleStepDen(&ts[k])
-			}
-			ff.BatchInverseFp2Into(invs, dens, prefix)
-			for k := range ts {
-				l := doubleStepPre(&ts[k], actP[k], &invs[k])
-				f.MulLine(&f, &l.e0, &l.e1, &l.e3)
-			}
-		}
-		for j := range actT {
-			ln := &actT[j].lines[cur]
-			e1.MulFp(&ln.a, &xOverYs[j])
-			e3.MulFp(&ln.b, &yInvs[j])
-			f.MulLine01(&f, &e1, &e3)
-		}
-		cur++
-		if s.Bit(i) == 1 {
-			if len(ts) > 0 {
-				for k := range ts {
-					dens[k] = addStepDen(&ts[k], actQ[k])
-				}
-				ff.BatchInverseFp2Into(invs, dens, prefix)
-				for k := range ts {
-					l := addStepPre(&ts[k], actQ[k], actP[k], &invs[k])
-					f.MulLine(&f, &l.e0, &l.e1, &l.e3)
-				}
-			}
-			for j := range actT {
-				ln := &actT[j].lines[cur]
-				e1.MulFp(&ln.a, &xOverYs[j])
-				e3.MulFp(&ln.b, &yInvs[j])
-				f.MulLine01(&f, &e1, &e3)
-			}
-			cur++
-		}
-	}
-
+	var f [1]ff.Fp12
+	millerInto(f[:], actP, actQ, actTP, actT)
 	out := new(GT)
-	finalExpFastInto(&out.v, &f)
+	finalExpFastInto(&out.v, &f[0])
 	return out
 }

@@ -1,30 +1,32 @@
 package bn254
 
 import (
+	"math/big"
+	"runtime"
 	"testing"
 )
 
 // TestPairingTableMatchesPair replays tables for several fixed Q
-// against ≥100 random G1 arguments and compares with the cold pairing.
+// against ≥100 random G1 arguments and compares with the reference.
 func TestPairingTableMatchesPair(t *testing.T) {
-	qs := make([]*G2, 0, 4)
-	for i := 0; i < 3; i++ {
-		q, _, err := RandG2(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs = append(qs, q)
+	type fixedQ struct {
+		q *G2
+		b *big.Int
 	}
-	qs = append(qs, G2Generator())
-	for qi, q := range qs {
-		tb := NewPairingTable(q)
+	qs := []fixedQ{{G2Generator(), big.NewInt(1)}}
+	for i := 0; i < 3; i++ {
+		tp := randTestPair(t)
+		qs = append(qs, fixedQ{tp.q, tp.b})
+	}
+	for qi, fq := range qs {
+		tb := NewPairingTable(fq.q)
 		for i := 0; i < 30; i++ {
-			p, _, err := RandG1(nil)
+			p, a, err := RandG1(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !tb.Pair(p).Equal(Pair(p, q)) {
-				t.Fatalf("table %d iteration %d: PairingTable.Pair != Pair", qi, i)
+			if !tb.Pair(p).Equal(refPair(a, fq.b)) {
+				t.Fatalf("table %d iteration %d: PairingTable.Pair != PairReference", qi, i)
 			}
 		}
 		if !tb.Pair(NewG1()).IsOne() {
@@ -46,89 +48,34 @@ func TestPairingTableMatchesPair(t *testing.T) {
 }
 
 func TestPairTableBatchMatchesPair(t *testing.T) {
-	for i := 0; i < 10; i++ {
-		n := 1 + i%4
-		ps := make([]*G1, n)
-		tabs := make([]*PairingTable, n)
-		qs := make([]*G2, n)
-		for j := range ps {
-			p, _, err := RandG1(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, _, err := RandG2(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (i+j)%5 == 0 {
-				p = NewG1()
-			}
-			ps[j], qs[j] = p, q
-			tabs[j] = NewPairingTable(q)
-		}
-		got := PairTableBatch(ps, tabs)
-		for j := range ps {
-			if !got[j].Equal(Pair(ps[j], qs[j])) {
-				t.Fatalf("iteration %d: PairTableBatch[%d] != Pair", i, j)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range pairCases(t) {
+		ps, _ := split(c.pairs)
+		got := PairTableBatch(ps, tables(c.pairs))
+		for j, tp := range c.pairs {
+			if !got[j].Equal(tp.want()) {
+				t.Fatalf("%s: PairTableBatch[%d] != PairReference", c.name, j)
 			}
 		}
 	}
 }
 
 // TestMultiPairMixedMatchesProduct checks the mixed cold+table product
-// against a naive product of Pair calls, covering empty cold side,
-// empty table side and identity entries on both.
+// against the reference on every shared input, split three ways: all
+// cold, all tables, and the first half cold with the rest as tables.
+// Identity pairs land on both sides, and the table side includes
+// identity-Q tables.
 func TestMultiPairMixedMatchesProduct(t *testing.T) {
-	for i := 0; i < 15; i++ {
-		nc := i % 3 // cold pairs
-		nt := i % 4 // table pairs
-		ps := make([]*G1, nc)
-		qs := make([]*G2, nc)
-		tps := make([]*G1, nt)
-		tqs := make([]*G2, nt)
-		tabs := make([]*PairingTable, nt)
-		for j := 0; j < nc; j++ {
-			p, _, err := RandG1(nil)
-			if err != nil {
-				t.Fatal(err)
+	for _, c := range pairCases(t) {
+		n := len(c.pairs)
+		for _, cut := range []int{n, 0, n / 2} {
+			cold, tabbed := c.pairs[:cut], c.pairs[cut:]
+			ps, qs := split(cold)
+			tps, _ := split(tabbed)
+			got := MultiPairMixed(ps, qs, tps, tables(tabbed))
+			if !got.Equal(wantProduct(c.pairs)) {
+				t.Fatalf("%s: MultiPairMixed mismatch (cold=%d tables=%d)", c.name, cut, n-cut)
 			}
-			q, _, err := RandG2(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (i+j)%6 == 0 {
-				p = NewG1()
-			}
-			ps[j], qs[j] = p, q
-		}
-		for j := 0; j < nt; j++ {
-			p, _, err := RandG1(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, _, err := RandG2(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (i+j)%5 == 0 {
-				p = NewG1()
-			}
-			if (i+j)%7 == 0 {
-				q = NewG2()
-			}
-			tps[j], tqs[j] = p, q
-			tabs[j] = NewPairingTable(q)
-		}
-		got := MultiPairMixed(ps, qs, tps, tabs)
-		want := GTOne()
-		for j := 0; j < nc; j++ {
-			want.Mul(want, Pair(ps[j], qs[j]))
-		}
-		for j := 0; j < nt; j++ {
-			want.Mul(want, Pair(tps[j], tqs[j]))
-		}
-		if !got.Equal(want) {
-			t.Fatalf("iteration %d: MultiPairMixed mismatch (cold=%d tables=%d)", i, nc, nt)
 		}
 	}
 	if !MultiPairMixed(nil, nil, nil, nil).IsOne() {

@@ -10,64 +10,49 @@ import (
 // above the core count: par.Chunks reads GOMAXPROCS, the chunked
 // branches trigger, and the goroutines interleave on however many
 // cores exist — which is exactly what `make race` needs to observe.
-// The reference is a loop of independent Pair calls.
+// The reference is PairReference through bilinearity (engine_test.go).
 
 // TestMultiPairParallelMatchesPairs checks the chunked MultiPair — 12
 // pairs splits into 3 lockstep chunks at multiPairParMinChunk=4 —
-// against the product of independent Pair calls, including identity
-// pairs that the active-filter must skip.
+// against the reference product, including identity pairs that the
+// active-filter must skip.
 func TestMultiPairParallelMatchesPairs(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
 	const n = 12
-	ps := make([]*G1, 0, n+2)
-	qs := make([]*G2, 0, n+2)
+	pairs := make([]testPair, 0, n+2)
 	for i := 0; i < n; i++ {
-		ps = append(ps, new(G1).ScalarBaseMult(randScalar(t)))
-		qs = append(qs, new(G2).ScalarBaseMult(randScalar(t)))
+		pairs = append(pairs, randTestPair(t))
 		if i == 5 { // identity on either side contributes 1
-			ps = append(ps, new(G1))
-			qs = append(qs, new(G2).ScalarBaseMult(randScalar(t)))
-			ps = append(ps, new(G1).ScalarBaseMult(randScalar(t)))
-			qs = append(qs, new(G2))
+			pairs = append(pairs, randTestPair(t).identityP(), randTestPair(t).identityQ())
 		}
 	}
 
-	want := GTOne()
-	for i := range ps {
-		want.Mul(want, Pair(ps[i], qs[i]))
-	}
-	got := MultiPair(ps, qs)
-	if !got.Equal(want) {
-		t.Fatalf("chunk-parallel MultiPair diverged from Π Pair: %v != %v", got, want)
+	ps, qs := split(pairs)
+	if !MultiPair(ps, qs).Equal(wantProduct(pairs)) {
+		t.Fatal("chunk-parallel MultiPair diverged from Π PairReference")
 	}
 }
 
 // TestPairBatchParallelMatchesPairs checks the chunked PairBatch
-// against per-pair Pair calls at a size that splits.
+// against the reference at a size that splits.
 func TestPairBatchParallelMatchesPairs(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
 	const n = 13 // odd size → uneven chunks
-	ps := make([]*G1, n)
-	qs := make([]*G2, n)
-	for i := 0; i < n; i++ {
-		if i == 7 {
-			ps[i] = new(G1)
-			qs[i] = new(G2).ScalarBaseMult(randScalar(t))
-			continue
-		}
-		ps[i] = new(G1).ScalarBaseMult(randScalar(t))
-		qs[i] = new(G2).ScalarBaseMult(randScalar(t))
+	pairs := make([]testPair, n)
+	for i := range pairs {
+		pairs[i] = randTestPair(t)
 	}
+	pairs[7] = pairs[7].identityP()
 
+	ps, qs := split(pairs)
 	got := PairBatch(ps, qs)
-	for i := range ps {
-		want := Pair(ps[i], qs[i])
-		if !got[i].Equal(want) {
-			t.Fatalf("index %d: chunk-parallel PairBatch diverged from Pair", i)
+	for i, tp := range pairs {
+		if !got[i].Equal(tp.want()) {
+			t.Fatalf("index %d: chunk-parallel PairBatch diverged from PairReference", i)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func MeasureTransportAblation(rng io.Reader, p *P1) ([][]string, error) {
 	f := p.encSK1[0]
 
 	start := time.Now()
-	tct := hpske.Transport(p.ctr, a, f)
+	tct := hpske.TransportMany(p.ctr, a, []*hpske.Ciphertext[*bn254.G2]{f})[0]
 	transportD := time.Since(start)
 
 	// The value the transport produced, encrypted from scratch instead.

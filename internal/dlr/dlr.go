@@ -22,7 +22,8 @@
 // to those scalars — the "simplicity of one of the two devices" property.
 //
 // Hot loops ride the bn254 fast paths: P1's ℓ+1 ciphertext transports
-// share one flattened PairBatch (hpske.TransportMany), and P2's
+// replay precomputed line tables in one flattened PairTableBatch
+// (hpske.TransportManyPre), and P2's
 // Π dᵢ^sᵢ / Π f'ᵢ^s'ᵢ·fᵢ^(−sᵢ) combinations are coordinate-wise
 // multi-exponentiations (hpske.LinComb over group.ProdExp). Op counts
 // reported through opcount.Counter keep the naive shape — n

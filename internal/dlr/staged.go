@@ -248,7 +248,7 @@ func (p *P1) CommitRefresh(rng io.Reader, ch device.Channel, st *StagedRefresh) 
 	}
 	// Complete the transport set with the one Φ'-dependent table.
 	transTabs := append(append(make([]*hpske.TransportTable, 0, p.prm.Ell+1),
-		st.transTabs...), hpske.PrecomputeTransport(encPhi))
+		st.transTabs...), hpske.PrecomputeTransportMany([]*hpske.Ciphertext[*bn254.G2]{encPhi})[0])
 
 	// Atomic flip. The outgoing period key is wiped in place (the
 	// paper's erasure at the end of refresh); the epoch advances ONCE —

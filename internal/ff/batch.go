@@ -73,7 +73,13 @@ func BatchInverseFp2(xs []Fp2) []Fp2 {
 //
 //dlr:noalloc
 func BatchInverseFp2Into(out, xs, prefix []Fp2) {
-	if len(xs) == 0 {
+	switch len(xs) {
+	case 0:
+		return
+	case 1:
+		// The Miller engine's single-pair step: with one element the
+		// trick below would only add three multiplications by one.
+		out[0].InverseVartime(&xs[0]) // zero maps to zero
 		return
 	}
 	var acc Fp2

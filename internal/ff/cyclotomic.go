@@ -176,42 +176,12 @@ func fp6MulSparse01(z, x *Fp6, y0, y1 *Fp2) {
 	z.C2.Set(&c2)
 }
 
-// MulLine sets z = x·ℓ where ℓ = e0 + e1·w + e3·w³ is the sparse shape
-// produced by the pairing's Miller-loop line evaluations. Exploiting
-// the three zero coefficients costs thirteen Fp2 multiplications versus
-// eighteen for a generic Mul.
-func (z *Fp12) MulLine(x *Fp12, e0, e1, e3 *Fp2) *Fp12 {
-	// ℓ = B0 + B1·w with B0 = (e0, 0, 0) and B1 = (e1, e3, 0) in Fp6.
-	var t0, t1 Fp6
-	t0.MulFp2(&x.C0, e0)               // A0·B0
-	fp6MulSparse01(&t1, &x.C1, e1, e3) // A1·B1
-
-	// r1 = (A0+A1)(B0+B1) − t0 − t1, with B0+B1 = (e0+e1, e3, 0).
-	var s Fp6
-	s.Add(&x.C0, &x.C1)
-	var y0 Fp2
-	y0.Add(e0, e1)
-	var r1 Fp6
-	fp6MulSparse01(&r1, &s, &y0, e3)
-	r1.Sub(&r1, &t0)
-	r1.Sub(&r1, &t1)
-
-	// r0 = t0 + v·t1.
-	var r0 Fp6
-	r0.MulByV(&t1)
-	r0.Add(&r0, &t0)
-
-	z.C0.Set(&r0)
-	z.C1.Set(&r1)
-	return z
-}
-
-// MulLine01 sets z = x·ℓ for a monic line ℓ = 1 + e1·w + e3·w³. With
-// the constant coefficient equal to one, the A0·B0 product of MulLine
-// degenerates to a copy, leaving ten Fp2 multiplications. Pairing
-// tables normalize their replayed lines to this shape by dividing out
-// the P.y constant (an Fp-subfield factor the final exponentiation
-// kills).
+// MulLine01 sets z = x·ℓ for a monic line ℓ = 1 + e1·w + e3·w³, the
+// sparse shape of the pairing's Miller-loop lines. Writing
+// ℓ = B0 + B1·w with B0 = 1, the A0·B0 product is a copy, leaving ten
+// Fp2 multiplications against eighteen for a generic Mul. The Miller
+// loop normalizes every line to this shape by dividing out the P.y
+// constant (an Fp-subfield factor the final exponentiation kills).
 func (z *Fp12) MulLine01(x *Fp12, e1, e3 *Fp2) *Fp12 {
 	// ℓ = B0 + B1·w with B0 = (1, 0, 0) and B1 = (e1, e3, 0) in Fp6.
 	var t0, t1 Fp6

@@ -182,37 +182,6 @@ func TestExpCyclotomicMatchesExp(t *testing.T) {
 	}
 }
 
-func TestMulLineMatchesFullMul(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		x, err := RandFp12(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e0, _ := RandFp2(rand.Reader)
-		e1, _ := RandFp2(rand.Reader)
-		e3, _ := RandFp2(rand.Reader)
-
-		// Assemble the dense line ℓ = e0 + e1·w + e3·w³.
-		var line Fp12
-		line.C0.C0.Set(e0)
-		line.C1.C0.Set(e1)
-		line.C1.C1.Set(e3)
-
-		var fast, slow Fp12
-		fast.MulLine(x, e0, e1, e3)
-		slow.Mul(x, &line)
-		if !fast.Equal(&slow) {
-			t.Fatalf("iteration %d: MulLine != Mul with dense line", i)
-		}
-		// Aliased receiver.
-		fast.Set(x)
-		fast.MulLine(&fast, e0, e1, e3)
-		if !fast.Equal(&slow) {
-			t.Fatalf("iteration %d: aliased MulLine mismatch", i)
-		}
-	}
-}
-
 func TestMulLine01MatchesFullMul(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		x, err := RandFp12(rand.Reader)

@@ -257,6 +257,15 @@ func TestBatchInverseInto(t *testing.T) {
 			t.Fatalf("BatchInverseFp2Into[%d] diverged", i)
 		}
 	}
+	// One element inverts directly; zero still maps to zero.
+	for _, x := range []Fp2{xs2[0], {}} {
+		var got, want [1]Fp2
+		BatchInverseFp2Into(got[:], []Fp2{x}, make([]Fp2, 1))
+		want[0].Inverse(&x)
+		if !got[0].Equal(&want[0]) {
+			t.Fatalf("one-element BatchInverseFp2Into(%v) diverged from Inverse", x)
+		}
+	}
 }
 
 // FuzzFpInverse differentially tests the Fermat addition-chain

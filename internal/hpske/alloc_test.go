@@ -11,9 +11,7 @@ import (
 )
 
 // Allocation regression test for the §5.2 transport hot path — the
-// per-request work P1 does on every decryption. Measured at κ=8: 13
-// allocs/op for the precomputed-table path (nine returned GTs plus the
-// ciphertext envelope and slices) and 34 for the cold-Miller path. The
+// per-request work P1 does on every decryption — on one ciphertext. The
 // budgets leave headroom for par.ForEach's scheduling-dependent
 // goroutine allocations on multi-core hosts while still catching a
 // return to per-pairing buffer churn (hundreds of allocs per call).
@@ -41,11 +39,12 @@ func TestTransportAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt := PrecomputeTransport(ct)
-	if n := testing.AllocsPerRun(5, func() { TransportPre(nil, a, tt) }); n > 64 {
-		t.Fatalf("TransportPre(κ=%d) allocates %v/op, budget 64", kappa, n)
+	cts := []*Ciphertext[*bn254.G2]{ct}
+	tts := PrecomputeTransportMany(cts)
+	if n := testing.AllocsPerRun(5, func() { TransportManyPre(nil, a, tts) }); n > 64 {
+		t.Fatalf("TransportManyPre(κ=%d) allocates %v/op, budget 64", kappa, n)
 	}
-	if n := testing.AllocsPerRun(5, func() { Transport(nil, a, ct) }); n > 96 {
-		t.Fatalf("Transport(κ=%d) allocates %v/op, budget 96", kappa, n)
+	if n := testing.AllocsPerRun(5, func() { TransportMany(nil, a, cts) }); n > 96 {
+		t.Fatalf("TransportMany(κ=%d) allocates %v/op, budget 96", kappa, n)
 	}
 }

@@ -47,10 +47,10 @@ func TestTransportMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ct := randG2Ciphertext(t, s, key)
-		fast := Transport(nil, a, ct)
+		fast := TransportMany(nil, a, []*Ciphertext[*bn254.G2]{ct})[0]
 		slow := TransportReference(nil, a, ct)
 		if !ctEqual(sGT, fast, slow) {
-			t.Fatalf("iteration %d: Transport != TransportReference", i)
+			t.Fatalf("iteration %d: TransportMany of one ciphertext != TransportReference", i)
 		}
 	}
 }
@@ -85,9 +85,8 @@ func TestTransportManyMatchesTransport(t *testing.T) {
 	}
 }
 
-// TransportPre / TransportManyPre must agree with their cold twins for
-// any G1 argument — the tables only cache the P-independent half of
-// the Miller loops.
+// TransportManyPre must agree with its cold twin for any G1 argument —
+// the tables only cache the P-independent half of the Miller loops.
 func TestTransportPreMatchesTransport(t *testing.T) {
 	s := newG2Scheme(t)
 	key, err := s.GenKey(rand.Reader)
@@ -96,16 +95,16 @@ func TestTransportPreMatchesTransport(t *testing.T) {
 	}
 	sGT := newGTScheme(t)
 	ct := randG2Ciphertext(t, s, key)
-	tt := PrecomputeTransport(ct)
+	tts := PrecomputeTransportMany([]*Ciphertext[*bn254.G2]{ct})
 	for i := 0; i < 5; i++ {
 		a, _, err := bn254.RandG1(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast := TransportPre(nil, a, tt)
-		slow := Transport(nil, a, ct)
+		fast := TransportManyPre(nil, a, tts)[0]
+		slow := TransportReference(nil, a, ct)
 		if !ctEqual(sGT, fast, slow) {
-			t.Fatalf("iteration %d: TransportPre != Transport", i)
+			t.Fatalf("iteration %d: TransportManyPre of one table != TransportReference", i)
 		}
 	}
 }
@@ -118,11 +117,10 @@ func TestTransportManyPreMatchesTransportMany(t *testing.T) {
 	}
 	sGT := newGTScheme(t)
 	cts := make([]*Ciphertext[*bn254.G2], 3)
-	tts := make([]*TransportTable, 3)
 	for i := range cts {
 		cts[i] = randG2Ciphertext(t, s, key)
-		tts[i] = PrecomputeTransport(cts[i])
 	}
+	tts := PrecomputeTransportMany(cts)
 	a, _, err := bn254.RandG1(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +140,8 @@ func TestTransportManyPreMatchesTransportMany(t *testing.T) {
 	}
 }
 
-// PrecomputeTransportMany must be an exact twin of a loop over
-// PrecomputeTransport — the flattened parallel fan-out only changes
+// PrecomputeTransportMany over a slice must be an exact twin of a loop
+// of one-element calls — the flattened parallel fan-out only changes
 // scheduling, never the tables — proved by transporting through both
 // table sets and comparing the resulting ciphertexts.
 func TestPrecomputeTransportManyMatchesLoop(t *testing.T) {
@@ -157,7 +155,7 @@ func TestPrecomputeTransportManyMatchesLoop(t *testing.T) {
 	loop := make([]*TransportTable, len(cts))
 	for i := range cts {
 		cts[i] = randG2Ciphertext(t, s, key)
-		loop[i] = PrecomputeTransport(cts[i])
+		loop[i] = PrecomputeTransportMany(cts[i : i+1])[0]
 	}
 	flat := PrecomputeTransportMany(cts)
 	if len(flat) != len(loop) {

@@ -409,51 +409,23 @@ func (s *Scheme[E]) checkCT(ct *Ciphertext[E]) error {
 	return nil
 }
 
-// Transport maps a G2-ciphertext under key σ to a GT-ciphertext of
+// TransportMany maps G2-ciphertexts under key σ to GT-ciphertexts of
 // e(a, m) under the same σ, by pairing every coordinate with a:
 //
 //	(b1,…,bκ, m·Π bⱼ^σⱼ)  ↦  (e(a,b1),…,e(a,bκ), e(a,m)·Π e(a,bⱼ)^σⱼ).
 //
 // This is the "reusing ciphertexts" device of §5.2: P1 derives the
 // decryption-protocol ciphertexts dᵢ from the refresh-protocol
-// ciphertexts fᵢ with κ+1 pairings and no fresh randomness.
+// ciphertexts fᵢ with κ+1 pairings each and no fresh randomness. A
+// single ciphertext is transported as a one-element slice.
 //
-// The κ+1 pairings run as one PairBatch: lockstep Miller loops with
-// batched line-denominator inversions (the outputs are distinct GT
-// elements, so each still pays its own final exponentiation).
-// TransportReference retains the one-Pair-at-a-time loop for
-// differential testing.
-func Transport(ctr *opcount.Counter, a *bn254.G1, ct *Ciphertext[*bn254.G2]) *Ciphertext[*bn254.GT] {
-	n := len(ct.Coins)
-	ps := make([]*bn254.G1, n+1)
-	qs := make([]*bn254.G2, n+1)
-	for j, b := range ct.Coins {
-		ps[j] = a
-		qs[j] = b
-	}
-	ps[n] = a
-	qs[n] = ct.Payload
-	gts := group.PairBatch(ctr, ps, qs)
-	return &Ciphertext[*bn254.GT]{Coins: gts[:n], Payload: gts[n]}
-}
-
-// TransportReference is the naive per-coordinate Pair loop Transport is
-// differentially tested against.
-func TransportReference(ctr *opcount.Counter, a *bn254.G1, ct *Ciphertext[*bn254.G2]) *Ciphertext[*bn254.GT] {
-	out := &Ciphertext[*bn254.GT]{Coins: make([]*bn254.GT, len(ct.Coins))}
-	for j, b := range ct.Coins {
-		out.Coins[j] = group.Pair(ctr, a, b)
-	}
-	out.Payload = group.Pair(ctr, a, ct.Payload)
-	return out
-}
-
-// TransportMany transports several G2-ciphertexts with the same a in a
-// single flattened PairBatch, maximizing the inversion-batching window
-// — the shape of P1's RunDec, which transports ℓ+1 ciphertexts at once.
-// When the ciphertexts are long-lived, PrecomputeTransport +
-// TransportManyPre replaces the cold Miller loops with precomputed-line
-// replays.
+// All the pairings run as one flattened PairBatch: lockstep Miller
+// loops with batched line-denominator inversions (the outputs are
+// distinct GT elements, so each still pays its own final
+// exponentiation). When the ciphertexts are long-lived,
+// PrecomputeTransportMany + TransportManyPre replaces the cold Miller
+// loops with precomputed-line replays. TransportReference retains the
+// one-Pair-at-a-time loop for differential testing.
 func TransportMany(ctr *opcount.Counter, a *bn254.G1, cts []*Ciphertext[*bn254.G2]) []*Ciphertext[*bn254.GT] {
 	var ps []*bn254.G1
 	var qs []*bn254.G2
@@ -476,6 +448,17 @@ func TransportMany(ctr *opcount.Counter, a *bn254.G1, cts []*Ciphertext[*bn254.G
 	return out
 }
 
+// TransportReference is the naive per-coordinate Pair loop
+// TransportMany is differentially tested against.
+func TransportReference(ctr *opcount.Counter, a *bn254.G1, ct *Ciphertext[*bn254.G2]) *Ciphertext[*bn254.GT] {
+	out := &Ciphertext[*bn254.GT]{Coins: make([]*bn254.GT, len(ct.Coins))}
+	for j, b := range ct.Coins {
+		out.Coins[j] = group.Pair(ctr, a, b)
+	}
+	out.Payload = group.Pair(ctr, a, ct.Payload)
+	return out
+}
+
 // TransportTable holds precomputed Miller-loop line tables for every
 // coordinate of a fixed G2-ciphertext — the G2 side of the §5.2
 // transport pairings, which depends only on the ciphertext. Building
@@ -488,32 +471,16 @@ type TransportTable struct {
 	tabs []*bn254.PairingTable // coins tables, then the payload table
 }
 
-// PrecomputeTransport builds the transport table for ct. The κ+1
-// per-coordinate tables are independent Miller-loop precomputations,
-// so they fan out across cores (a sequential loop on one core).
-func PrecomputeTransport(ct *Ciphertext[*bn254.G2]) *TransportTable {
-	n := len(ct.Coins)
-	tt := &TransportTable{tabs: make([]*bn254.PairingTable, n+1)}
-	par.ForEach(n+1, func(j int) {
-		if j < n {
-			tt.tabs[j] = bn254.NewPairingTable(ct.Coins[j])
-		} else {
-			tt.tabs[n] = bn254.NewPairingTable(ct.Payload)
-		}
-	})
-	return tt
-}
-
-// PrecomputeTransportMany builds transport tables for a whole slice of
-// ciphertexts with one flattened parallel fan-out: all
+// PrecomputeTransportMany builds the transport table of every
+// ciphertext in cts with one flattened parallel fan-out: all
 // len(cts)×(κ+1) per-coordinate tables are independent Miller-loop
 // precomputations, so scheduling them through a single par.ForEach
 // keeps every core busy across ciphertext boundaries instead of
-// paying a fork/join barrier per ciphertext (which is what a loop
-// over PrecomputeTransport would do). This is the background-build
-// primitive behind next-epoch prewarming: the rotation pipeline
-// builds the entire next-epoch table set in one call while the
-// current epoch keeps serving.
+// paying a fork/join barrier per ciphertext. This is the
+// background-build primitive behind next-epoch prewarming: the
+// rotation pipeline builds the entire next-epoch table set in one call
+// while the current epoch keeps serving. A single ciphertext's table
+// is built as a one-element slice.
 func PrecomputeTransportMany(cts []*Ciphertext[*bn254.G2]) []*TransportTable {
 	tts := make([]*TransportTable, len(cts))
 	// Flatten into (ciphertext, coordinate) jobs with a prefix-sum
@@ -539,23 +506,11 @@ func PrecomputeTransportMany(cts []*Ciphertext[*bn254.G2]) []*TransportTable {
 	return tts
 }
 
-// TransportPre is Transport with the ciphertext's Miller-loop lines
-// precomputed: every pairing is a table replay. Op counts match
-// Transport (κ+1 pairings), keeping the experiment tables comparable.
-// Differentially tested against Transport.
-func TransportPre(ctr *opcount.Counter, a *bn254.G1, tt *TransportTable) *Ciphertext[*bn254.GT] {
-	n := len(tt.tabs) - 1
-	ps := make([]*bn254.G1, n+1)
-	for j := range ps {
-		ps[j] = a
-	}
-	gts := group.PairTableBatch(ctr, ps, tt.tabs)
-	return &Ciphertext[*bn254.GT]{Coins: gts[:n], Payload: gts[n]}
-}
-
 // TransportManyPre is TransportMany over precomputed tables: one
 // flattened PairTableBatch across all ciphertexts, every pairing a
-// replay. Differentially tested against TransportMany.
+// replay. Op counts match TransportMany (κ+1 pairings per ciphertext),
+// keeping the experiment tables comparable. Differentially tested
+// against TransportMany.
 func TransportManyPre(ctr *opcount.Counter, a *bn254.G1, tts []*TransportTable) []*Ciphertext[*bn254.GT] {
 	var ps []*bn254.G1
 	var tabs []*bn254.PairingTable

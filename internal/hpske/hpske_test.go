@@ -264,7 +264,7 @@ func TestTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tct := Transport(nil, a, ct)
+	tct := TransportMany(nil, a, []*Ciphertext[*bn254.G2]{ct})[0]
 	got, err := sGT.Decrypt(key, tct)
 	if err != nil {
 		t.Fatal(err)

@@ -88,11 +88,10 @@ func TestQuickTransportCommutesWithHomomorphisms(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lhs := Transport(nil, a, prodG2)
+		lhs := TransportMany(nil, a, []*Ciphertext[*bn254.G2]{prodG2})[0]
 
-		t1 := Transport(nil, a, c1)
-		t2 := Transport(nil, a, c2)
-		rhs, err := sGT.Mul(t1, t2)
+		ts := TransportMany(nil, a, []*Ciphertext[*bn254.G2]{c1, c2})
+		rhs, err := sGT.Mul(ts[0], ts[1])
 		if err != nil {
 			return false
 		}

@@ -33,7 +33,7 @@ func (c *countingConn) Close() error {
 // Write, byte-identical to frame-at-a-time encoding.
 func TestSessionFlushCoalesces(t *testing.T) {
 	conn := &countingConn{}
-	ss := &session{conn: conn, m: newMetrics(nil)}
+	ss := &session{conn: conn, m: newMetrics()}
 
 	frames := []wire.MuxMsg{
 		{ID: 1, Kind: KindDecResult, Payload: []byte("aaaa")},
@@ -79,8 +79,8 @@ func TestSessionFlushCoalesces(t *testing.T) {
 // distinct session exactly once.
 func TestFlushSessionsDedupes(t *testing.T) {
 	connA, connB := &countingConn{}, &countingConn{}
-	a := &session{conn: connA, m: newMetrics(nil)}
-	b := &session{conn: connB, m: newMetrics(nil)}
+	a := &session{conn: connA, m: newMetrics()}
+	b := &session{conn: connB, m: newMetrics()}
 	batch := []*request{
 		{sess: a, enq: time.Now()},
 		{sess: b, enq: time.Now()},

@@ -12,10 +12,9 @@ import (
 // (docs/PERFORMANCE.md, "Batch-window sizing") reads: how full windows
 // close, how deep queues run, and what latency the windowing adds.
 //
-// Every Server owns a Metrics and mirrors into the package-global
-// aggregate published under expvar ("dlrserver"), so a process serving
-// through any number of Server instances exposes one coherent
-// /debug/vars view without double registration.
+// Every Server owns one Metrics, shared by all its tenants; Expvar
+// gives the view a process publishes (cmd/dlrserver publishes its
+// server's under "dlrserver").
 type Metrics struct {
 	requests  atomic.Uint64 // accepted into a window queue
 	responses atomic.Uint64 // answered (success or per-request error)
@@ -53,28 +52,24 @@ type Metrics struct {
 	latNext int
 	//dlr:guarded-by mu
 	latCount int
-
-	mirror *Metrics // package aggregate; nil on the aggregate itself
 }
 
 // latRingSize bounds the latency reservoir the percentiles are computed
 // over: the most recent 8192 responses.
 const latRingSize = 8192
 
-func newMetrics(mirror *Metrics) *Metrics {
+func newMetrics() *Metrics {
 	return &Metrics{
 		batchHist: make(map[int]uint64),
 		latRing:   make([]time.Duration, latRingSize),
-		mirror:    mirror,
 	}
 }
 
-// globalMetrics is the process-wide aggregate behind the expvar view.
-var globalMetrics = newMetrics(nil)
-
-func init() {
-	expvar.Publish("dlrserver", expvar.Func(func() any {
-		s := globalMetrics.Snapshot()
+// Expvar returns the expvar view of m: a map of the counters and
+// derived gauges, read from a fresh Snapshot on every call.
+func (m *Metrics) Expvar() expvar.Func {
+	return func() any {
+		s := m.Snapshot()
 		return map[string]any{
 			"requests":       s.Requests,
 			"responses":      s.Responses,
@@ -96,7 +91,7 @@ func init() {
 			"rotation_stall_mean_us":   s.RotationStallMean.Microseconds(),
 			"rotation_rebuild_mean_us": s.RotationRebuildMean.Microseconds(),
 		}
-	}))
+	}
 }
 
 // recordInbound notes frames received from clients and their on-wire
@@ -104,32 +99,20 @@ func init() {
 func (m *Metrics) recordInbound(frames, bytes int) {
 	m.framesIn.Add(uint64(frames))
 	m.bytesIn.Add(uint64(bytes))
-	if m.mirror != nil {
-		m.mirror.recordInbound(frames, bytes)
-	}
 }
 
 // recordOutbound notes frames sent to clients and their on-wire size.
 func (m *Metrics) recordOutbound(frames, bytes int) {
 	m.framesOut.Add(uint64(frames))
 	m.bytesOut.Add(uint64(bytes))
-	if m.mirror != nil {
-		m.mirror.recordOutbound(frames, bytes)
-	}
 }
 
 func (m *Metrics) recordRequest() {
 	m.requests.Add(1)
-	if m.mirror != nil {
-		m.mirror.recordRequest()
-	}
 }
 
 func (m *Metrics) recordRejected() {
 	m.rejected.Add(1)
-	if m.mirror != nil {
-		m.mirror.recordRejected()
-	}
 }
 
 // recordRotation notes one committed refresh: how long it stalled the
@@ -139,9 +122,6 @@ func (m *Metrics) recordRotation(stall, rebuild time.Duration) {
 	m.rotStallLast.Store(int64(stall))
 	m.rotStallSum.Add(int64(stall))
 	m.rotRebuildSum.Add(int64(rebuild))
-	if m.mirror != nil {
-		m.mirror.recordRotation(stall, rebuild)
-	}
 }
 
 // recordWindow notes one drained batch window of the given occupancy.
@@ -151,9 +131,6 @@ func (m *Metrics) recordWindow(size int) {
 	m.mu.Lock()
 	m.batchHist[size]++
 	m.mu.Unlock()
-	if m.mirror != nil {
-		m.mirror.recordWindow(size)
-	}
 }
 
 // recordResponse notes one answered request and its queue-to-response
@@ -170,9 +147,6 @@ func (m *Metrics) recordResponse(lat time.Duration, failed bool) {
 		m.latCount++
 	}
 	m.mu.Unlock()
-	if m.mirror != nil {
-		m.mirror.recordResponse(lat, failed)
-	}
 }
 
 // Snapshot is a point-in-time copy of the counters with derived

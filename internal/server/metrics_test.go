@@ -1,9 +1,47 @@
 package server
 
 import (
+	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestExpvarView pins the expvar view cmd/dlrserver publishes under
+// "dlrserver": its exact key set, and that it reads the server's own
+// counters.
+func TestExpvarView(t *testing.T) {
+	m := newMetrics()
+	for i := 0; i < 3; i++ {
+		m.recordRequest()
+	}
+	m.recordWindow(3)
+	var view map[string]any
+	if err := json.Unmarshal([]byte(m.Expvar().String()), &view); err != nil {
+		t.Fatalf("expvar view is not a JSON object: %v", err)
+	}
+	keys := make([]string, 0, len(view))
+	for k := range view {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{
+		"batch_hist", "bytes_in", "bytes_out", "errors", "frames_in", "frames_out",
+		"latency_p50_us", "latency_p99_us", "mean_occupancy", "refreshes", "rejected",
+		"requests", "responses", "rotation_rebuild_mean_us", "rotation_stall_last_us",
+		"rotation_stall_mean_us", "rotations_prewarmed", "windows",
+	}
+	if strings.Join(keys, " ") != strings.Join(want, " ") {
+		t.Fatalf("expvar keys:\n got %v\nwant %v", keys, want)
+	}
+	if got := view["requests"]; got != float64(3) {
+		t.Fatalf("requests = %v, want 3", got)
+	}
+	if got := view["mean_occupancy"]; got != float64(3) {
+		t.Fatalf("mean_occupancy = %v, want 3", got)
+	}
+}
 
 // TestSnapshotPercentiles pins the nearest-rank rule: P50 and P99 are
 // the ⌈0.50·n⌉-th and ⌈0.99·n⌉-th smallest samples, so P50 never
@@ -18,7 +56,7 @@ func TestSnapshotPercentiles(t *testing.T) {
 		{n: 3, p50: 2, p99: 3},
 		{n: 100, p50: 50, p99: 99},
 	} {
-		m := newMetrics(nil)
+		m := newMetrics()
 		// Record the samples largest first, so the result cannot depend
 		// on arrival order.
 		for i := tc.n; i >= 1; i-- {

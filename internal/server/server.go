@@ -188,7 +188,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
 		cfg:     cfg,
-		metrics: newMetrics(globalMetrics),
+		metrics: newMetrics(),
 		tenants: storage.NewStriped[*tenant](),
 		lns:     make(map[net.Listener]struct{}),
 		conns:   make(map[net.Conn]struct{}),
